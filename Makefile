@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test verify fmt-check race vet shard-parity store-parity bench bench-json bench-smoke serve-smoke chaos-smoke compress-smoke cluster-smoke store-smoke replication-smoke fuzz fuzz-smoke apidiff clean
+.PHONY: all build test verify fmt-check race vet stress shard-parity store-parity bench bench-json bench-smoke perfbench-smoke serve-smoke chaos-smoke compress-smoke cluster-smoke store-smoke replication-smoke fuzz fuzz-smoke apidiff clean
 
 all: build test
 
@@ -20,6 +20,12 @@ vet:
 race:
 	$(GO) test -race ./...
 
+# The packages whose tests race real sockets, drains and reconnects, run
+# five times over: a flaky test there fails the build instead of
+# passing as noise.
+stress:
+	$(GO) test -count=5 ./internal/cluster ./internal/server ./internal/repl
+
 # Differential parity of the sharded detector backend: sharded verdicts
 # (2, 4 and 8 location shards) must be byte-identical to serial
 # detection over the corpus, every frontend's workloads, and random
@@ -37,9 +43,9 @@ store-parity:
 
 # Mirrors the CI test job step for step (.github/workflows/ci.yml):
 # gofmt gate, vet, build, the full suite, the full suite under the Go
-# race detector, the sharded-vs-serial parity gate, and the durable
-# store's differential/tamper gates.
-verify: fmt-check vet build test race shard-parity store-parity
+# race detector, the repeated-run flake gate, the sharded-vs-serial
+# parity gate, and the durable store's differential/tamper gates.
+verify: fmt-check vet build test race stress shard-parity store-parity
 
 # Detector hot-path benchmarks: storage backends (openaddr/map/shadow) ×
 # ingestion paths (per-event, batched, steady-state) on the pipeline and
@@ -63,6 +69,13 @@ bench-smoke:
 	$(GO) run ./cmd/bench2d -e 16 -quick -checkallocs -json ''
 	$(GO) run ./cmd/bench2d -e 17 -quick -json ''
 
+# Mirrors the CI perfbench-smoke job: every end-to-end benchmark
+# workload at a tiny size, untraced and traced; fails unless each run
+# reports exactly the metrics BENCHMARK.json lists and every verdict is
+# right. Build output goes to .bench_build/.
+perfbench-smoke:
+	bash perfbench/run.sh --smoke
+
 # Mirrors the CI serve-smoke job: build raced and race2d under the Go
 # race detector, stream the corpus through a real server, assert remote
 # output byte-identical to local, probe /healthz and /metrics, and drain
@@ -80,10 +93,9 @@ chaos-smoke:
 	./scripts/chaos_smoke.sh
 
 # Mirrors the CI compress-smoke job: byte-identical local/remote
-# verdicts with v3 block compression negotiated (the default), /metrics
-# proof that blocks flowed and saved bytes, downgrade parity against a
-# v2-capped server, -no-compress opt-out parity, and chaos parity with
-# compressed blocks on a faulty transport.
+# verdicts with block compression negotiated (the default), /metrics
+# proof that blocks flowed and saved bytes, -no-compress opt-out parity,
+# and chaos parity with compressed blocks on a faulty transport.
 compress-smoke:
 	./scripts/compress_smoke.sh
 
@@ -118,6 +130,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzDecodeBlock -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzResume -fuzztime=30s ./internal/wire
+	$(GO) test -fuzz=FuzzDecodeRepl -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzDecodeRecord -fuzztime=30s ./internal/store
 
 # Mirrors the CI fuzz-smoke job: seed corpora, then a short fuzz budget

@@ -7,7 +7,7 @@
 //
 // # Fault tolerance
 //
-// The client speaks protocol v2: every Events frame carries a
+// Every event frame carries a
 // monotonically increasing sequence number, and the server acknowledges
 // the highest contiguously ingested sequence. Batches stay in a bounded
 // replay window until acknowledged, so when the connection dies —
@@ -31,15 +31,17 @@
 //
 // # Wire compression
 //
-// By default the client opens at protocol v3 offering CapCompress; when
-// the server grants it, batches ship as compressed EventsBlock frames
-// (delta/varint plus copy-run encoding of the fork-join structure,
-// flate fallback — internal/wire's block codec), typically cutting
-// bytes on the wire several-fold. Against an older server the client
-// downgrades to v2 transparently; Options.NoCompress keeps v3 but
-// ships plain frames. Compression never touches verdicts: blocks decode
-// to the identical event stream, and Session.Stats reports the
-// blocks/bytes/ratio accounting.
+// By default the client offers CapCompress; when the server grants it,
+// batches ship as compressed EventsBlock frames (delta/varint plus
+// copy-run encoding of the fork-join structure, flate fallback —
+// internal/wire's block codec), typically cutting bytes on the wire
+// several-fold. WithNoCompress ships plain frames instead. Compression
+// never touches verdicts: blocks decode to the identical event stream,
+// and Session.Stats reports the blocks/bytes/ratio accounting.
+//
+// The client speaks the one wire protocol version (wire.Version). A
+// server or gateway that refuses it answers with the documented
+// wire.ErrVersion refusal, which Dial returns without retrying.
 package client
 
 import (
@@ -62,11 +64,11 @@ import (
 )
 
 // DefaultFrameEvents is how many events a Session packs per wire frame
-// before flushing, when Options leaves FrameEvents unset.
+// before flushing, unless WithFrameEvents sets another size.
 const DefaultFrameEvents = 512
 
 // DefaultWindowBatches bounds the replay window (unacknowledged batches
-// held for resend) when Options leaves WindowBatches unset.
+// held for resend) unless WithReplayWindow sets another bound.
 const DefaultWindowBatches = 64
 
 // ErrPartial marks an incomplete verdict: either a report produced by a
@@ -89,17 +91,17 @@ type pending struct {
 type Session struct {
 	endpoints []string // dial targets, tried in rotation; [0] is the Dial addr
 	ep        int      // index of the endpoint the next dial tries
-	opts      Options
+	opts      options
 
-	mu   sync.Mutex
-	cond sync.Cond
-	conn net.Conn      // nil while disconnected
-	bw   *bufio.Writer // paired with conn
-	gen  uint64        // connection generation; guards stale goroutines
+	mu       sync.Mutex
+	cond     sync.Cond
+	conn     net.Conn      // nil while disconnected
+	bw       *bufio.Writer // paired with conn
+	connDone chan struct{} // closed when conn is dropped; stops its heartbeat
+	gen      uint64        // connection generation; guards stale goroutines
 
 	id       uint64
 	token    uint64 // resume token (0 before the first Welcome)
-	ver      int    // protocol version to open with (downgraded on refusal)
 	caps     uint64 // capabilities granted on the current connection
 	nextSeq  uint64 // sequence for the next batch cut from the producer
 	acked    uint64 // highest server-acknowledged sequence
@@ -134,36 +136,15 @@ type Session struct {
 // with an invalid value fails Dial immediately, before any network
 // traffic. Transport failures are retried within the MaxAttempts
 // budget, rotating through addr plus any WithEndpoints fallbacks;
-// server refusals (unknown engine, session limit) fail immediately.
+// server refusals (unknown engine, session limit, protocol version,
+// credentials) fail immediately.
 func Dial(addr string, opts ...Option) (*Session, error) {
-	var o Options
-	for _, opt := range opts {
-		if opt == nil {
-			continue
-		}
-		if err := opt(&o); err != nil {
-			return nil, err
-		}
-	}
-	return DialOptions(addr, o)
-}
-
-// DialOptions connects like Dial but configured by the legacy Options
-// struct. Both paths resolve to the same normalized configuration, so
-// DialOptions(addr, Options{MaxAttempts: 3}) and Dial(addr,
-// WithMaxAttempts(3)) behave identically; the struct form skips the
-// constructors' eager validation, except that an out-of-range
-// MaxVersion is now an explicit error rather than a silent clamp.
-//
-// Deprecated: use Dial with functional options.
-func DialOptions(addr string, opts Options) (*Session, error) {
-	norm, err := opts.normalized()
+	o, err := resolve(opts)
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{opts: norm, nextSeq: 1}
-	s.endpoints = append([]string{addr}, norm.Endpoints...)
-	s.ver = s.opts.MaxVersion
+	s := &Session{opts: o, nextSeq: 1}
+	s.endpoints = append([]string{addr}, o.Endpoints...)
 	s.cond.L = &s.mu
 	s.batch = make([]fj.Event, 0, s.opts.FrameEvents)
 	if err := s.connect(); err != nil {
@@ -221,13 +202,23 @@ func (s *Session) waitLocked(d time.Duration) {
 func (s *Session) killConn(gen uint64, err error) {
 	s.mu.Lock()
 	if s.gen == gen && s.conn != nil {
-		s.conn.Close()
-		s.conn = nil
-		s.bw = nil
+		s.dropConnLocked().Close()
 		s.lastNetErr = err
 		s.cond.Broadcast()
 	}
 	s.mu.Unlock()
+}
+
+// dropConnLocked detaches the current connection (non-nil) and stops
+// its heartbeat goroutine, returning the connection for the caller to
+// close. Caller holds s.mu.
+func (s *Session) dropConnLocked() net.Conn {
+	conn := s.conn
+	s.conn = nil
+	s.bw = nil
+	close(s.connDone)
+	s.connDone = nil
+	return conn
 }
 
 // connect establishes (or re-establishes) the connection: dial,
@@ -259,7 +250,7 @@ func (s *Session) connect() error {
 			s.mu.Unlock()
 			return err
 		}
-		token, ver := s.token, s.ver
+		token := s.token
 		addr := s.endpoints[s.ep%len(s.endpoints)]
 		s.mu.Unlock()
 
@@ -272,7 +263,7 @@ func (s *Session) connect() error {
 			s.nextEndpoint()
 			continue
 		}
-		if err := s.handshake(conn, ver, token); err != nil {
+		if err := s.handshake(conn, token); err != nil {
 			conn.Close()
 			if terminal := s.terminalErr(); terminal != nil {
 				return terminal
@@ -325,30 +316,25 @@ func (s *Session) backoff(attempt int) {
 	time.Sleep(time.Duration(rand.Int63n(int64(ceil) + 1)))
 }
 
-// handshake performs the hello/welcome exchange on a fresh conn at the
-// given protocol version and, on success, installs it as the session's
-// current connection with its reader and heartbeat goroutines. A server
-// refusing the version downgrades the session to v2 for the retry.
-func (s *Session) handshake(conn net.Conn, ver int, token uint64) error {
+// handshake performs the hello/welcome exchange on a fresh conn and,
+// on success, installs it as the session's current connection with its
+// reader and heartbeat goroutines.
+func (s *Session) handshake(conn net.Conn, token uint64) error {
 	conn.SetDeadline(time.Now().Add(s.opts.DialTimeout))
 	hello := wire.Hello{Engine: s.opts.Engine, BatchSize: s.opts.BatchSize, Token: token, RouteKey: s.opts.RouteKey}
 	var offered uint64
-	if ver >= wire.V3 && !s.opts.NoCompress {
+	if !s.opts.NoCompress {
 		offered = wire.CapCompress
 	}
-	if ver >= wire.V3 && s.opts.AuthToken != "" {
+	if s.opts.AuthToken != "" {
 		offered |= wire.CapTenant
 		hello.Auth = s.opts.AuthToken
 	}
 	hello.Caps = offered
-	hpayload := wire.EncodeHelloV2(hello)
-	if ver >= wire.V3 {
-		hpayload = wire.EncodeHelloV3(hello)
-	}
 	bw := bufio.NewWriterSize(conn, 64<<10)
-	err := wire.WriteMagicVersion(bw, byte(ver))
+	err := wire.WriteMagic(bw)
 	if err == nil {
-		err = wire.WriteFrame(bw, wire.FrameHello, hpayload)
+		err = wire.WriteFrame(bw, wire.FrameHello, wire.EncodeHello(hello))
 	}
 	if err == nil {
 		err = bw.Flush()
@@ -363,11 +349,7 @@ func (s *Session) handshake(conn net.Conn, ver int, token uint64) error {
 	var welcome wire.Welcome
 	switch ft {
 	case wire.FrameWelcome:
-		if ver >= wire.V3 {
-			welcome, err = wire.DecodeWelcomeV3(payload)
-		} else {
-			welcome, err = wire.DecodeWelcomeV2(payload)
-		}
+		welcome, err = wire.DecodeWelcome(payload)
 		if err != nil {
 			return fmt.Errorf("client: handshake: %w", err)
 		}
@@ -392,23 +374,13 @@ func (s *Session) handshake(conn net.Conn, ver int, token uint64) error {
 			return err
 		}
 		if strings.HasPrefix(string(payload), wire.HandshakeRefusedPrefix) {
-			if ver > wire.V2 && strings.Contains(string(payload), wire.ErrVersion.Error()) {
-				// The server speaks an older protocol: downgrade to v2 and
-				// retry. Negotiation is not a fault, so the attempt budget
-				// resets.
-				s.mu.Lock()
-				if s.ver > wire.V2 {
-					s.ver = wire.V2
-					s.attempts = 0
-				}
-				s.mu.Unlock()
-				return fmt.Errorf("client: server refused v%d (%s); downgrading to v%d", ver, payload, wire.V2)
-			}
 			if strings.Contains(string(payload), wire.ErrAuth.Error()) ||
-				strings.Contains(string(payload), wire.ErrQuota.Error()) {
-				// Auth and quota refusals ride the handshake-refusal
-				// prefix but are terminal: resending the same credential
-				// (or piling onto an exhausted quota) cannot succeed.
+				strings.Contains(string(payload), wire.ErrQuota.Error()) ||
+				strings.Contains(string(payload), wire.ErrVersion.Error()) {
+				// Auth, quota and version refusals ride the
+				// handshake-refusal prefix but are terminal: resending the
+				// same credential (or piling onto an exhausted quota, or
+				// speaking a protocol the server does not) cannot succeed.
 				refusal := fmt.Errorf("client: server refused session: %s", payload)
 				s.mu.Lock()
 				s.broken = refusal
@@ -444,6 +416,8 @@ func (s *Session) handshake(conn net.Conn, ver int, token uint64) error {
 	gen := s.gen
 	s.conn = conn
 	s.bw = bufio.NewWriterSize(conn, 64<<10)
+	done := make(chan struct{})
+	s.connDone = done
 	if s.everConnected {
 		s.reconnects++
 	}
@@ -453,7 +427,7 @@ func (s *Session) handshake(conn net.Conn, ver int, token uint64) error {
 	s.lastRecv.Store(time.Now().UnixNano())
 	go s.reader(conn, gen)
 	if s.opts.HeartbeatInterval > 0 {
-		go s.heartbeat(conn, gen)
+		go s.heartbeat(conn, gen, done)
 	}
 	return nil
 }
@@ -508,10 +482,11 @@ func (s *Session) resendWindow() bool {
 }
 
 // writeEvents writes one sequenced batch, as a compressed block when
-// the connection negotiated CapCompress and as a plain v2 Events frame
+// the connection negotiated CapCompress and as a plain Events frame
 // otherwise. Resends re-encode: a batch first sent compressed can go
-// out uncompressed on a downgraded reconnect, and vice versa — the
-// sequence number, not the byte form, is the batch's identity.
+// out uncompressed on a reconnect that was not granted compression, and
+// vice versa — the sequence number, not the byte form, is the batch's
+// identity.
 func (s *Session) writeEvents(conn net.Conn, bw *bufio.Writer, compress bool, p pending) error {
 	if compress {
 		return s.writeFrame(conn, bw, wire.FrameEventsBlock, func(dst []byte) []byte {
@@ -604,12 +579,19 @@ func (s *Session) reader(conn net.Conn, gen uint64) {
 // declares the peer dead after HeartbeatMisses silent intervals. While
 // Finish is waiting on the Report the server is legitimately silent
 // (it may be draining a large queue), so the dead-peer verdict is
-// suspended and FinishTimeout rules instead.
-func (s *Session) heartbeat(conn net.Conn, gen uint64) {
+// suspended and FinishTimeout rules instead. The goroutine exits as
+// soon as done closes (the connection was dropped or the session
+// closed), so a closed Session is not kept alive until the next tick.
+func (s *Session) heartbeat(conn net.Conn, gen uint64, done <-chan struct{}) {
 	interval := s.opts.HeartbeatInterval
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
-	for range tick.C {
+	for {
+		select {
+		case <-done:
+			return
+		case <-tick.C:
+		}
 		s.mu.Lock()
 		stale := s.gen != gen || s.conn == nil || s.closed
 		finishing := s.finishing
@@ -836,10 +818,11 @@ func (s *Session) Close() error {
 		return nil
 	}
 	s.closed = true
-	conn := s.conn
-	s.conn = nil
-	s.bw = nil
-	s.gen++ // orphan any reader/heartbeat still running
+	var conn net.Conn
+	if s.conn != nil {
+		conn = s.dropConnLocked()
+	}
+	s.gen++ // orphan any reader still running
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	if conn != nil {

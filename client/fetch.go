@@ -32,7 +32,7 @@ type Fetched struct {
 
 // Fetch retrieves the persisted Report stored under a resume token — a
 // one-shot "resume of a finished session": it dials, presents the token
-// (and WithAuthToken credential, if any) in a v3 handshake, and returns
+// (and WithAuthToken credential, if any) in a handshake, and returns
 // the Report the server persisted before acking that session's Finish.
 // Against a raced with -store-dir this works across server restarts;
 // against the default in-memory store it works for the resume window.
@@ -52,16 +52,7 @@ func Fetch(addr string, token uint64, opts ...Option) (*Fetched, error) {
 	if token == 0 {
 		return nil, fmt.Errorf("client: fetch: zero resume token")
 	}
-	var o Options
-	for _, opt := range opts {
-		if opt == nil {
-			continue
-		}
-		if err := opt(&o); err != nil {
-			return nil, err
-		}
-	}
-	norm, err := o.normalized()
+	norm, err := resolve(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +87,7 @@ func Fetch(addr string, token uint64, opts ...Option) (*Fetched, error) {
 }
 
 // fetchOnce runs one dial + fetch handshake against one endpoint.
-func fetchOnce(addr string, token uint64, norm Options) (*Fetched, error) {
+func fetchOnce(addr string, token uint64, norm options) (*Fetched, error) {
 	conn, err := net.DialTimeout("tcp", addr, norm.DialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("client: fetch: %w", err)
@@ -109,8 +100,8 @@ func fetchOnce(addr string, token uint64, norm Options) (*Fetched, error) {
 		hello.Caps = wire.CapTenant
 	}
 	bw := bufio.NewWriter(conn)
-	if err := wire.WriteMagicVersion(bw, byte(wire.V3)); err == nil {
-		err = wire.WriteFrame(bw, wire.FrameHello, wire.EncodeHelloV3(hello))
+	if err := wire.WriteMagic(bw); err == nil {
+		err = wire.WriteFrame(bw, wire.FrameHello, wire.EncodeHello(hello))
 	}
 	if err == nil {
 		err = bw.Flush()
@@ -129,7 +120,7 @@ func fetchOnce(addr string, token uint64, norm Options) (*Fetched, error) {
 	if ft != wire.FrameWelcome {
 		return nil, fmt.Errorf("client: fetch: unexpected %v frame", ft)
 	}
-	welcome, err := wire.DecodeWelcomeV3(payload)
+	welcome, err := wire.DecodeWelcome(payload)
 	if err != nil {
 		return nil, fmt.Errorf("client: fetch: %w", err)
 	}
@@ -183,7 +174,7 @@ func fetchTerminal(err error) bool {
 
 // fetchBackoff mirrors the streaming session's reconnect backoff: full
 // jitter under an exponential ceiling, uniform(0, min(max, base<<k)).
-func fetchBackoff(o Options, attempt int) time.Duration {
+func fetchBackoff(o options, attempt int) time.Duration {
 	shift := attempt - 1
 	if shift > 16 {
 		shift = 16

@@ -40,14 +40,14 @@ func startScripted(t *testing.T, handler func(i int, c net.Conn)) (string, *atom
 // readFetchHello consumes the magic and Hello frame a fetching client
 // sends, so scripted refusals happen after a complete handshake read.
 func readFetchHello(c net.Conn) (wire.Hello, bool) {
-	if _, err := wire.ReadMagicVersion(c); err != nil {
+	if err := wire.ReadMagic(c); err != nil {
 		return wire.Hello{}, false
 	}
 	ft, payload, err := wire.ReadFrame(c, nil)
 	if err != nil || ft != wire.FrameHello {
 		return wire.Hello{}, false
 	}
-	h, err := wire.DecodeHelloV3(payload)
+	h, err := wire.DecodeHello(payload)
 	return h, err == nil
 }
 
@@ -58,7 +58,7 @@ func refuse(c net.Conn, text string) {
 var fetchTestReport = []byte(`{"engine":"2d","tasks":1,"locations":0,"race_count":0,"races":[]}`)
 
 func serveReport(c net.Conn) {
-	wire.WriteFrame(c, wire.FrameWelcome, wire.EncodeWelcomeV3(wire.Welcome{Session: 1}))
+	wire.WriteFrame(c, wire.FrameWelcome, wire.EncodeWelcome(wire.Welcome{Session: 1}))
 	wire.WriteFrame(c, wire.FrameReport, wire.EncodeReport(0, fetchTestReport))
 }
 
@@ -154,7 +154,7 @@ func TestFetchTerminalRefusalsDoNotRetry(t *testing.T) {
 // delay stays within [0, min(max, base<<attempt-1)] and the ceiling
 // saturates at BackoffMax rather than overflowing.
 func TestFetchBackoffCeiling(t *testing.T) {
-	o := Options{BackoffBase: 50 * time.Millisecond, BackoffMax: 2 * time.Second}
+	o := options{BackoffBase: 50 * time.Millisecond, BackoffMax: 2 * time.Second}
 	for attempt := 1; attempt <= 80; attempt++ {
 		ceil := o.BackoffBase << uint(min(attempt-1, 16))
 		if ceil > o.BackoffMax || ceil <= 0 {

@@ -4,23 +4,21 @@ import (
 	"fmt"
 	"strings"
 	"time"
-
-	"repro/internal/wire"
 )
 
 // Option configures Dial, mirroring the functional-options style of
 // race2d.Detect: each constructor documents and validates one knob, and
 // invalid values (zero or negative where a positive count is required,
-// an unsupported protocol version) surface as errors from Dial instead
+// an empty endpoint address) surface as errors from Dial instead
 // of being silently clamped. The zero configuration — Dial(addr) with
 // no options — is the fully defaulted fault-tolerant compressed client.
-type Option func(*Options) error
+type Option func(*options) error
 
 // WithEngine names the detector engine the server should run (race2d
 // engine vocabulary; the default is the server's default, "2d").
 // Unknown names are the server's to refuse — the vocabulary is its.
 func WithEngine(name string) Option {
-	return func(o *Options) error {
+	return func(o *options) error {
 		o.Engine = name
 		return nil
 	}
@@ -31,7 +29,7 @@ func WithEngine(name string) Option {
 // Report's Stats identical to an unbuffered local run. Negative sizes
 // are a configuration error.
 func WithBatchSize(n int) Option {
-	return func(o *Options) error {
+	return func(o *options) error {
 		if n < 0 {
 			return fmt.Errorf("client: negative batch size %d", n)
 		}
@@ -44,7 +42,7 @@ func WithBatchSize(n int) Option {
 // frame (default DefaultFrameEvents). Purely a throughput knob; it does
 // not affect the verdict. n must be positive.
 func WithFrameEvents(n int) Option {
-	return func(o *Options) error {
+	return func(o *options) error {
 		if n <= 0 {
 			return fmt.Errorf("client: frame events must be positive, got %d", n)
 		}
@@ -56,7 +54,7 @@ func WithFrameEvents(n int) Option {
 // WithDialTimeout bounds each TCP dial and handshake attempt (default
 // 10s). d must be positive.
 func WithDialTimeout(d time.Duration) Option {
-	return func(o *Options) error {
+	return func(o *options) error {
 		if d <= 0 {
 			return fmt.Errorf("client: dial timeout must be positive, got %v", d)
 		}
@@ -70,7 +68,7 @@ func WithDialTimeout(d time.Duration) Option {
 // before the connection is declared dead (default 30s). d must be
 // positive.
 func WithFinishTimeout(d time.Duration) Option {
-	return func(o *Options) error {
+	return func(o *options) error {
 		if d <= 0 {
 			return fmt.Errorf("client: finish timeout must be positive, got %v", d)
 		}
@@ -82,7 +80,7 @@ func WithFinishTimeout(d time.Duration) Option {
 // WithWriteTimeout sets the per-frame write deadline (default 10s).
 // d must be positive.
 func WithWriteTimeout(d time.Duration) Option {
-	return func(o *Options) error {
+	return func(o *options) error {
 		if d <= 0 {
 			return fmt.Errorf("client: write timeout must be positive, got %v", d)
 		}
@@ -96,7 +94,7 @@ func WithWriteTimeout(d time.Duration) Option {
 // force a reconnect (defaults 10s and 3). Both must be positive; use
 // WithoutHeartbeat to disable keepalives entirely.
 func WithHeartbeat(interval time.Duration, misses int) Option {
-	return func(o *Options) error {
+	return func(o *options) error {
 		if interval <= 0 {
 			return fmt.Errorf("client: heartbeat interval must be positive, got %v (use WithoutHeartbeat to disable)", interval)
 		}
@@ -112,8 +110,8 @@ func WithHeartbeat(interval time.Duration, misses int) Option {
 // WithoutHeartbeat disables the keepalive goroutine; dead peers are
 // then detected only by failed writes and the Finish timeout.
 func WithoutHeartbeat() Option {
-	return func(o *Options) error {
-		o.HeartbeatInterval = -1
+	return func(o *options) error {
+		o.HeartbeatInterval = 0
 		return nil
 	}
 }
@@ -123,7 +121,7 @@ func WithoutHeartbeat() Option {
 // session circuit-breaks and Finish returns an error wrapping
 // ErrPartial. (Default 5.) n must be positive.
 func WithMaxAttempts(n int) Option {
-	return func(o *Options) error {
+	return func(o *options) error {
 		if n <= 0 {
 			return fmt.Errorf("client: max attempts must be positive, got %d", n)
 		}
@@ -136,7 +134,7 @@ func WithMaxAttempts(n int) Option {
 // jitter: attempt k sleeps uniform(0, min(max, base<<k)). Defaults 50ms
 // and 2s. base must be positive and max at least base.
 func WithBackoff(base, max time.Duration) Option {
-	return func(o *Options) error {
+	return func(o *options) error {
 		if base <= 0 {
 			return fmt.Errorf("client: backoff base must be positive, got %v", base)
 		}
@@ -154,7 +152,7 @@ func WithBackoff(base, max time.Duration) Option {
 // window blocks the producer until the server acknowledges progress.
 // n must be positive.
 func WithReplayWindow(n int) Option {
-	return func(o *Options) error {
+	return func(o *options) error {
 		if n <= 0 {
 			return fmt.Errorf("client: replay window must be positive, got %d batches", n)
 		}
@@ -169,35 +167,18 @@ func WithReplayWindow(n int) Option {
 // never saw it). Memory grows with the stream; reserve it for runs that
 // must survive server loss.
 func WithRetainAll() Option {
-	return func(o *Options) error {
+	return func(o *options) error {
 		o.RetainAll = true
 		return nil
 	}
 }
 
-// WithNoCompress withholds the CapCompress capability from the v3
+// WithNoCompress withholds the CapCompress capability from the
 // handshake, so batches ship as plain Events frames even against a
 // willing server.
 func WithNoCompress() Option {
-	return func(o *Options) error {
+	return func(o *options) error {
 		o.NoCompress = true
-		return nil
-	}
-}
-
-// WithMaxVersion caps the wire protocol version the client opens with.
-// Versions below wire.V2 are unsupported — the fault-tolerance
-// machinery requires sequenced frames — and versions above wire.Version
-// do not exist yet; both are configuration errors. Against a server
-// capped lower still, the client downgrades automatically on the
-// documented version refusal, so this knob mostly serves tests and
-// staged rollouts.
-func WithMaxVersion(v int) Option {
-	return func(o *Options) error {
-		if v < wire.V2 || v > wire.Version {
-			return fmt.Errorf("client: %w: version %d (speak %d..%d)", wire.ErrVersion, v, wire.V2, wire.Version)
-		}
-		o.MaxVersion = v
 		return nil
 	}
 }
@@ -212,7 +193,7 @@ func WithMaxVersion(v int) Option {
 // only a RetainAll session can ride out. At least one address is
 // required and none may be empty.
 func WithEndpoints(addrs ...string) Option {
-	return func(o *Options) error {
+	return func(o *options) error {
 		if len(addrs) == 0 {
 			return fmt.Errorf("client: WithEndpoints requires at least one address")
 		}
@@ -231,20 +212,20 @@ func WithEndpoints(addrs ...string) Option {
 // so sessions sharing a key land on the same backend. Zero (the
 // default) lets the gateway pick. Direct raced servers ignore the key.
 func WithRouteKey(key uint64) Option {
-	return func(o *Options) error {
+	return func(o *options) error {
 		o.RouteKey = key
 		return nil
 	}
 }
 
 // WithAuthToken presents a tenant credential, spelled "tenant:key", in
-// the v3 handshake (wire.CapTenant). Required against a server running
+// the handshake (wire.CapTenant). Required against a server running
 // with -tenant-keys; ignored by an open server. A server refusing the
 // credential (wire.ErrAuth) or the tenant's quota (wire.ErrQuota) is a
 // terminal error, not a retry: resending the same credential cannot
 // succeed. The token must name both parts.
 func WithAuthToken(token string) Option {
-	return func(o *Options) error {
+	return func(o *options) error {
 		tenant, key, ok := strings.Cut(token, ":")
 		if !ok || tenant == "" || key == "" {
 			return fmt.Errorf("client: auth token must be \"tenant:key\", got %q", token)
@@ -254,130 +235,50 @@ func WithAuthToken(token string) Option {
 	}
 }
 
-// Options configures DialOptions.
-//
-// Deprecated: Options is the legacy configuration struct; new code
-// should pass functional options to Dial (WithMaxAttempts, WithBackoff,
-// WithHeartbeat, ...), which validate their values instead of silently
-// defaulting them. The struct remains the single resolved configuration
-// both paths share, so DialOptions(addr, Options{...}) and Dial(addr,
-// opts...) with equivalent settings behave identically.
-type Options struct {
-	// Engine names the detector engine the server should run (race2d
-	// engine vocabulary; empty selects the server default, "2d").
-	Engine string
-	// BatchSize asks the server to deliver events to its engine in
-	// batches of this size. Zero delivers per event, which keeps the
-	// remote Report's Stats identical to an unbuffered local run.
-	BatchSize int
-	// FrameEvents is the transport batch: events packed per wire frame
-	// (DefaultFrameEvents when <= 0). Purely a throughput knob; it does
-	// not affect the verdict.
-	FrameEvents int
-	// DialTimeout bounds each TCP dial and handshake attempt (10s when 0).
-	DialTimeout time.Duration
-	// FinishTimeout bounds how long Finish waits for the server's Report
-	// and how long a full replay window waits for ack progress before
-	// the connection is declared dead (30s when 0).
-	FinishTimeout time.Duration
-	// WriteTimeout is the per-frame write deadline (10s when 0).
-	WriteTimeout time.Duration
-	// HeartbeatInterval is the keepalive cadence while the connection is
-	// otherwise quiet (10s when 0; < 0 disables heartbeats).
-	HeartbeatInterval time.Duration
-	// HeartbeatMisses is how many silent intervals mark the peer dead
-	// and force a reconnect (3 when 0).
-	HeartbeatMisses int
-	// MaxAttempts is the consecutive connect-attempt budget; it resets
-	// after every successful handshake. When the budget runs out the
-	// session circuit-breaks: events are dropped and Finish returns an
-	// error wrapping ErrPartial. (5 when 0.)
-	MaxAttempts int
-	// BackoffBase and BackoffMax shape the exponential reconnect backoff
-	// with full jitter: attempt k sleeps uniform(0, min(BackoffMax,
-	// BackoffBase<<k)). Defaults 50ms and 2s.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// WindowBatches bounds the replay window, in batches
-	// (DefaultWindowBatches when <= 0). A full window blocks the
-	// producer until the server acknowledges progress.
-	WindowBatches int
-	// RetainAll keeps acknowledged batches in the window too, so the
-	// whole stream can replay into a fresh session if the server
-	// restarts and no longer knows the resume token. Memory grows with
-	// the stream; reserve it for runs that must survive server loss.
-	RetainAll bool
-	// NoCompress withholds the CapCompress capability from the v3
-	// handshake, so batches ship as plain Events frames even against a
-	// willing server. The zero value negotiates compression.
-	NoCompress bool
-	// MaxVersion caps the wire protocol version the client opens with.
-	// Zero means the newest, wire.Version; any other value outside
-	// wire.V2..wire.Version is a configuration error — the
-	// fault-tolerance machinery requires sequenced (v2+) frames, so
-	// unsupported versions are refused loudly rather than silently
-	// clamped. Against a server capped lower still, the client
-	// downgrades automatically on the documented version refusal.
-	MaxVersion int
-	// Endpoints are fallback server or gateway addresses tried in
-	// rotation after the address passed to Dial fails (see
-	// WithEndpoints for the session-state caveats).
-	Endpoints []string
-	// RouteKey, when non-zero, pins the session's placement under a
-	// cluster gateway (see WithRouteKey). Direct servers ignore it.
-	RouteKey uint64
-	// AuthToken, when non-empty, is the "tenant:key" credential the v3
-	// handshake presents (see WithAuthToken). Empty authenticates
-	// nothing, which an open server accepts and a tenant-keyed server
-	// refuses terminally.
-	AuthToken string
+// options is the resolved configuration behind Dial and Fetch: the
+// defaults, overridden by each Option in turn. The field meanings are
+// documented on the With* constructors that set them.
+type options struct {
+	Engine            string
+	BatchSize         int
+	FrameEvents       int
+	DialTimeout       time.Duration
+	FinishTimeout     time.Duration
+	WriteTimeout      time.Duration
+	HeartbeatInterval time.Duration // 0 disables heartbeats
+	HeartbeatMisses   int
+	MaxAttempts       int
+	BackoffBase       time.Duration
+	BackoffMax        time.Duration
+	WindowBatches     int
+	RetainAll         bool
+	NoCompress        bool
+	Endpoints         []string
+	RouteKey          uint64
+	AuthToken         string
 }
 
-// normalized fills defaults and validates the fields with a rejectable
-// domain. An unsupported MaxVersion is an explicit error — historically
-// it was clamped into range silently, which turned version-pinning
-// typos into mysterious downgrade behavior.
-func (o Options) normalized() (Options, error) {
-	if o.FrameEvents <= 0 {
-		o.FrameEvents = DefaultFrameEvents
+// resolve applies opts over the defaults. Nil options are skipped, so
+// conditionally built option slices may carry them.
+func resolve(opts []Option) (options, error) {
+	o := options{
+		FrameEvents:       DefaultFrameEvents,
+		DialTimeout:       10 * time.Second,
+		FinishTimeout:     30 * time.Second,
+		WriteTimeout:      10 * time.Second,
+		HeartbeatInterval: 10 * time.Second,
+		HeartbeatMisses:   3,
+		MaxAttempts:       5,
+		BackoffBase:       50 * time.Millisecond,
+		BackoffMax:        2 * time.Second,
+		WindowBatches:     DefaultWindowBatches,
 	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 10 * time.Second
-	}
-	if o.FinishTimeout <= 0 {
-		o.FinishTimeout = 30 * time.Second
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 10 * time.Second
-	}
-	if o.HeartbeatInterval == 0 {
-		o.HeartbeatInterval = 10 * time.Second
-	}
-	if o.HeartbeatMisses <= 0 {
-		o.HeartbeatMisses = 3
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 5
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 50 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 2 * time.Second
-	}
-	if o.WindowBatches <= 0 {
-		o.WindowBatches = DefaultWindowBatches
-	}
-	switch {
-	case o.MaxVersion == 0:
-		o.MaxVersion = wire.Version
-	case o.MaxVersion < wire.V2 || o.MaxVersion > wire.Version:
-		return Options{}, fmt.Errorf("client: %w: version %d (speak %d..%d)",
-			wire.ErrVersion, o.MaxVersion, wire.V2, wire.Version)
-	}
-	for _, a := range o.Endpoints {
-		if a == "" {
-			return Options{}, fmt.Errorf("client: empty endpoint address")
+	for _, opt := range opts {
+		if opt == nil {
+			continue
+		}
+		if err := opt(&o); err != nil {
+			return options{}, err
 		}
 	}
 	return o, nil

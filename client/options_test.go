@@ -6,19 +6,14 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/wire"
 )
 
-// apply folds opts into an Options the way Dial does, failing the test
-// on error.
-func apply(t *testing.T, opts ...Option) Options {
+// apply resolves opts the way Dial does, failing the test on error.
+func apply(t *testing.T, opts ...Option) options {
 	t.Helper()
-	var o Options
-	for _, opt := range opts {
-		if err := opt(&o); err != nil {
-			t.Fatalf("option returned %v", err)
-		}
+	o, err := resolve(opts)
+	if err != nil {
+		t.Fatalf("option returned %v", err)
 	}
 	return o
 }
@@ -43,15 +38,12 @@ func TestOptionValidation(t *testing.T) {
 		{"backoff-base-zero", WithBackoff(0, time.Second), "backoff base"},
 		{"backoff-max-below-base", WithBackoff(time.Second, time.Millisecond), "below base"},
 		{"window-zero", WithReplayWindow(0), "replay window"},
-		{"version-v1", WithMaxVersion(wire.V1), "version"},
-		{"version-negative", WithMaxVersion(-3), "version"},
-		{"version-future", WithMaxVersion(wire.Version + 1), "version"},
 		{"endpoints-none", WithEndpoints(), "at least one"},
 		{"endpoints-empty-addr", WithEndpoints("a:1", ""), "empty address"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			var o Options
+			var o options
 			err := c.opt(&o)
 			if err == nil {
 				t.Fatalf("want an error, got nil (options now %+v)", o)
@@ -64,7 +56,7 @@ func TestOptionValidation(t *testing.T) {
 }
 
 // TestOptionConstructorsSetFields checks each constructor lands on the
-// field the struct form would set.
+// resolved field it documents.
 func TestOptionConstructorsSetFields(t *testing.T) {
 	got := apply(t,
 		WithEngine("fasttrack"),
@@ -79,11 +71,10 @@ func TestOptionConstructorsSetFields(t *testing.T) {
 		WithReplayWindow(32),
 		WithRetainAll(),
 		WithNoCompress(),
-		WithMaxVersion(wire.V2),
 		WithEndpoints("b:1", "c:2"),
 		WithRouteKey(42),
 	)
-	want := Options{
+	want := options{
 		Engine:            "fasttrack",
 		BatchSize:         128,
 		FrameEvents:       256,
@@ -98,140 +89,47 @@ func TestOptionConstructorsSetFields(t *testing.T) {
 		WindowBatches:     32,
 		RetainAll:         true,
 		NoCompress:        true,
-		MaxVersion:        wire.V2,
 		Endpoints:         []string{"b:1", "c:2"},
 		RouteKey:          42,
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("functional options landed on\n%+v\nwant the struct-equivalent\n%+v", got, want)
-	}
-}
-
-// TestStructFunctionalParity is the api_redesign acceptance bar: a
-// configuration expressed as the deprecated struct and as functional
-// options must normalize to the identical resolved Options, so
-// DialOptions and Dial behave byte-identically.
-func TestStructFunctionalParity(t *testing.T) {
-	structForm := Options{
-		Engine:            "vc",
-		FrameEvents:       64,
-		DialTimeout:       250 * time.Millisecond,
-		FinishTimeout:     30 * time.Second,
-		WriteTimeout:      2 * time.Second,
-		HeartbeatInterval: 50 * time.Millisecond,
-		HeartbeatMisses:   2,
-		MaxAttempts:       200,
-		BackoffBase:       time.Millisecond,
-		BackoffMax:        20 * time.Millisecond,
-		RetainAll:         true,
-	}
-	funcForm := apply(t,
-		WithEngine("vc"),
-		WithFrameEvents(64),
-		WithDialTimeout(250*time.Millisecond),
-		WithFinishTimeout(30*time.Second),
-		WithWriteTimeout(2*time.Second),
-		WithHeartbeat(50*time.Millisecond, 2),
-		WithMaxAttempts(200),
-		WithBackoff(time.Millisecond, 20*time.Millisecond),
-		WithRetainAll(),
-	)
-	ns, err := structForm.normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	nf, err := funcForm.normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ns, nf) {
-		t.Errorf("normalized forms diverge\nstruct:     %+v\nfunctional: %+v", ns, nf)
-	}
-
-	// The all-defaults case must agree too.
-	nzero, err := Options{}.normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	nnone := apply(t)
-	got, err := nnone.normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(nzero, got) {
-		t.Errorf("zero-value normalization diverges: %+v vs %+v", nzero, got)
+		t.Errorf("functional options landed on\n%+v\nwant\n%+v", got, want)
 	}
 }
 
 // TestNormalizedDefaults pins the documented default values.
 func TestNormalizedDefaults(t *testing.T) {
-	n, err := Options{}.normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := apply(t)
 	if n.FrameEvents != DefaultFrameEvents {
 		t.Errorf("FrameEvents = %d, want %d", n.FrameEvents, DefaultFrameEvents)
 	}
 	if n.WindowBatches != DefaultWindowBatches {
 		t.Errorf("WindowBatches = %d, want %d", n.WindowBatches, DefaultWindowBatches)
 	}
-	if n.MaxVersion != wire.Version {
-		t.Errorf("MaxVersion = %d, want newest %d", n.MaxVersion, wire.Version)
-	}
-	if n.MaxAttempts != 5 || n.HeartbeatMisses != 3 {
+	if n.MaxAttempts != 5 || n.HeartbeatMisses != 3 || n.HeartbeatInterval != 10*time.Second {
 		t.Errorf("retry defaults off: %+v", n)
 	}
 }
 
-// TestNormalizedRejectsBadMaxVersion pins the satellite fix: the old
-// normalized() silently clamped out-of-range MaxVersion into the
-// supported band; now it is an explicit, matchable error.
-func TestNormalizedRejectsBadMaxVersion(t *testing.T) {
-	for _, v := range []int{-1, wire.V1, wire.Version + 1, 99} {
-		_, err := Options{MaxVersion: v}.normalized()
-		if err == nil {
-			t.Errorf("MaxVersion %d: want an error, got silent acceptance", v)
-			continue
-		}
-		if !errors.Is(err, wire.ErrVersion) {
-			t.Errorf("MaxVersion %d: error %v does not wrap wire.ErrVersion", v, err)
-		}
-	}
-	// Dial surfaces it before touching the network: the address is
-	// unroutable, so reaching the dialer would hang or error differently.
-	if _, err := Dial("203.0.113.1:1", WithMaxVersion(99)); err == nil || !errors.Is(err, wire.ErrVersion) {
-		t.Errorf("Dial with bad version: err = %v, want wire.ErrVersion", err)
-	}
-	if _, err := DialOptions("203.0.113.1:1", Options{MaxVersion: wire.V1}); err == nil || !errors.Is(err, wire.ErrVersion) {
-		t.Errorf("DialOptions with v1: err = %v, want wire.ErrVersion", err)
-	}
-}
-
-// TestWithoutHeartbeat pins the disable encoding: a negative interval
-// survives normalization (it means "off"), matching the struct form.
+// TestWithoutHeartbeat pins the disable encoding: WithoutHeartbeat
+// overrides the default cadence, and a later WithHeartbeat re-enables.
 func TestWithoutHeartbeat(t *testing.T) {
-	o := apply(t, WithoutHeartbeat())
-	n, err := o.normalized()
-	if err != nil {
-		t.Fatal(err)
+	if n := apply(t, WithoutHeartbeat()); n.HeartbeatInterval != 0 {
+		t.Errorf("HeartbeatInterval = %v, want 0 (disabled)", n.HeartbeatInterval)
 	}
-	if n.HeartbeatInterval >= 0 {
-		t.Errorf("HeartbeatInterval = %v, want negative (disabled)", n.HeartbeatInterval)
-	}
-	ns, err := Options{HeartbeatInterval: -1}.normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ns.HeartbeatInterval != n.HeartbeatInterval {
-		t.Errorf("struct and functional disable diverge: %v vs %v", ns.HeartbeatInterval, n.HeartbeatInterval)
+	if n := apply(t, WithoutHeartbeat(), WithHeartbeat(time.Second, 2)); n.HeartbeatInterval != time.Second {
+		t.Errorf("HeartbeatInterval = %v, want 1s after re-enabling", n.HeartbeatInterval)
 	}
 }
 
-// TestNormalizedRejectsEmptyEndpoint covers the struct-form path, which
-// has no constructor validation to catch it early.
+// TestNormalizedRejectsEmptyEndpoint: an empty fallback address fails
+// Dial and Fetch before any network traffic.
 func TestNormalizedRejectsEmptyEndpoint(t *testing.T) {
-	if _, err := (Options{Endpoints: []string{"a:1", ""}}).normalized(); err == nil {
-		t.Error("empty endpoint accepted")
+	if _, err := Dial("203.0.113.1:1", WithEndpoints("a:1", "")); err == nil || !strings.Contains(err.Error(), "empty address") {
+		t.Errorf("Dial: err = %v, want the empty-address error", err)
+	}
+	if _, err := Fetch("203.0.113.1:1", 1, WithEndpoints("")); err == nil || !strings.Contains(err.Error(), "empty address") {
+		t.Errorf("Fetch: err = %v, want the empty-address error", err)
 	}
 }
 

@@ -2,7 +2,7 @@
 // One session streams a recorded trace to an in-process raced server
 // whose listener corrupts, drops, delays, truncates and resets the
 // transport at a swept fault rate (internal/faults, deterministic
-// seed). The protocol-v2 client rides the faults out — reconnect,
+// seed). The client rides the faults out — reconnect,
 // resume, resend — so every cell must still land on the clean-run
 // verdict; what the sweep measures is the throughput an operator gives
 // up for a given transport fault rate, and how much recovery work

@@ -52,7 +52,7 @@ func run(args []string) int {
 	traceStats := fs.Bool("stats", false, "print trace shape and per-engine operation-count statistics")
 	viz := fs.Bool("viz", false, "render the task line's evolution (small programs)")
 	remote := fs.String("remote", "", "raced server address(es), comma-separated; detection runs remotely over the wire protocol, extra addresses are failover endpoints (and fetch fallbacks)")
-	noCompress := fs.Bool("no-compress", false, "send plain event frames instead of negotiating v3 block compression (remote runs only)")
+	noCompress := fs.Bool("no-compress", false, "send plain event frames instead of negotiating block compression (remote runs only)")
 	shards := fs.Int("shards", 0, "location shards for the 2d engine's access checks (0 or 1 = serial; local runs only)")
 	auth := fs.String("auth", "", "tenant credential name:key for remote runs against a -tenant-keys server")
 	fetch := fs.String("fetch", "", "retrieve the persisted report under this resume token (hex) instead of detecting; requires -remote")
@@ -213,8 +213,18 @@ func printReport(e race2d.Engine, rep *race2d.Report, locName func(race2d.Addr) 
 // run: RetainAll keeps the whole stream replayable, so the verdict
 // survives not just dropped connections but a raced restart that forgot
 // the resume token (the stream replays into a fresh session).
-func remoteOptions(e race2d.Engine, noCompress bool, auth string, endpoints []string) client.Options {
-	return client.Options{Engine: e.String(), RetainAll: true, NoCompress: noCompress, AuthToken: auth, Endpoints: endpoints}
+func remoteOptions(e race2d.Engine, noCompress bool, auth string, endpoints []string) []client.Option {
+	opts := []client.Option{client.WithEngine(e.String()), client.WithRetainAll()}
+	if noCompress {
+		opts = append(opts, client.WithNoCompress())
+	}
+	if auth != "" {
+		opts = append(opts, client.WithAuthToken(auth))
+	}
+	if len(endpoints) > 0 {
+		opts = append(opts, client.WithEndpoints(endpoints...))
+	}
+	return opts
 }
 
 // splitRemote splits a comma-separated -remote list into the primary
@@ -259,7 +269,7 @@ func noteRecovery(sess *client.Session) {
 // server drains mid-stream the partial report is used, with a warning.
 func execRemote(p *prog.Program, remote string, e race2d.Engine, recordTrace bool, trace *fj.Trace, noCompress bool, auth string) (*race2d.Report, *prog.Result, error) {
 	addr, extras := splitRemote(remote)
-	sess, err := client.DialOptions(addr, remoteOptions(e, noCompress, auth, extras))
+	sess, err := client.Dial(addr, remoteOptions(e, noCompress, auth, extras)...)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -316,7 +326,7 @@ func runTrace(data []byte, engineName, remote string, shards int, all, truth, st
 		var rep *race2d.Report
 		if remote != "" {
 			addr, extras := splitRemote(remote)
-			sess, err := client.DialOptions(addr, remoteOptions(e, noCompress, auth, extras))
+			sess, err := client.Dial(addr, remoteOptions(e, noCompress, auth, extras)...)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "race2d:", err)
 				return 2

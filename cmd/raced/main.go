@@ -64,7 +64,7 @@
 // -chaos is a development flag: it wraps the session listener in the
 // internal/faults injector, so every accepted connection suffers
 // deterministic, seed-driven transport faults of the named classes
-// (delay|corrupt|partial|drop|reset|all). Protocol-v2 clients are
+// (delay|corrupt|partial|drop|reset|all). Clients are
 // expected to ride the faults out and still produce verdicts identical
 // to a clean run; scripts/chaos_smoke.sh holds raced to exactly that.
 package main
@@ -116,10 +116,10 @@ func run(args []string) int {
 	var common cliflags.Common
 	cliflags.Register(fs, ":7471", &common)
 	maxSessions := fs.Int("max-sessions", server.DefaultMaxSessions, "live session cap; extra connections are refused")
-	resumeWindow := fs.Duration("resume-window", server.DefaultResumeWindow, "keep disconnected v2 sessions resumable this long")
+	resumeWindow := fs.Duration("resume-window", server.DefaultResumeWindow, "keep disconnected sessions resumable this long")
 	shards := fs.Int("shards", 0, "location shards per 2D session (0 or 1 = serial detection)")
 	shardBudget := fs.Int("shard-budget", 0, "global cap on live shard workers; over-budget sessions fall back to serial (0 = shards*max-sessions)")
-	noCompress := fs.Bool("no-compress", false, "withhold the v3 block-compression capability; clients fall back to plain event frames")
+	noCompress := fs.Bool("no-compress", false, "withhold the block-compression capability; clients fall back to plain event frames")
 	storeDir := fs.String("store-dir", "", "persist finished reports to a hash-chained log in this directory (empty = in-memory, resume-window retention)")
 	retention := fs.Duration("retention", 0, "drop persisted reports older than this (0 = keep forever; requires -store-dir)")
 	noSync := fs.Bool("no-sync", false, "skip per-record fsync in the report log (faster; host crash may lose the latest acks)")
@@ -147,7 +147,6 @@ func run(args []string) int {
 		Shards:        *shards,
 		ShardBudget:   *shardBudget,
 		NoCompress:    *noCompress,
-		MaxVersion:    common.MaxVersion,
 	}
 	if common.Verbose {
 		cfg.Logf = logger.Printf

@@ -80,6 +80,12 @@ func TestClusterChaosParity(t *testing.T) {
 						defer cancel()
 						backends[home].srv.Shutdown(ctx)
 					}()
+					// The migration premise: the home backend is draining
+					// before the rest of the stream and its Finish leave the
+					// client. Once Draining reports true the session there
+					// cannot complete normally, so the verdict has to come
+					// from the surviving backend.
+					waitDraining(t, backends[home].srv)
 				}
 
 				sess.EventBatch(events[half:])

@@ -252,7 +252,7 @@ func TestGatewayRouteKeyPinsBackend(t *testing.T) {
 // TestGatewayResumeSameBackend severs the client<->gateway transport
 // exactly once mid-stream: the client reconnects through the gateway
 // with its resume token and must land back on its home backend, where
-// the ordinary v2 bounded-window resume applies (no replay-from-zero).
+// the ordinary bounded-window resume applies (no replay-from-zero).
 func TestGatewayResumeSameBackend(t *testing.T) {
 	backends := []*backend{
 		startBackend(t, server.Config{ResumeWindow: 10 * time.Second}),
@@ -310,6 +310,18 @@ func findHome(t *testing.T, backends []*backend) int {
 			t.Fatal("no backend ever saw the session")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// waitDraining blocks until srv reports it is draining.
+func waitDraining(t *testing.T, srv *server.Server) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !srv.Draining() {
+		if time.Now().After(deadline) {
+			t.Fatal("backend never started draining")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -400,6 +412,9 @@ func TestGatewayMigratesOnDrain(t *testing.T) {
 		defer cancel()
 		backends[home].srv.Shutdown(ctx)
 	}()
+	// Send the rest only once the home backend is draining, so the
+	// session there cannot read its Finish and complete normally.
+	waitDraining(t, backends[home].srv)
 
 	sess.EventBatch(events[half:])
 	rep, err := sess.Finish()

@@ -14,7 +14,7 @@
 // testable — a failing seed is a repro, not an anecdote.
 //
 // The injector exists to exercise the wire protocol's fault-tolerance
-// machinery (internal/wire v2, client resume, server suspend): every
+// machinery (internal/wire sequencing, client resume, server suspend): every
 // fault class maps to a failure the protocol must absorb. Corruption is
 // caught by the per-frame CRC, truncation by the length prefix, and
 // drops/resets/stalls by acknowledgement sequence numbers, heartbeats

@@ -1,12 +1,14 @@
 package server_test
 
 import (
+	"fmt"
 	"net"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/client"
+	"repro/internal/cluster"
 	"repro/internal/fj"
 	"repro/internal/server"
 	"repro/internal/wire"
@@ -29,9 +31,9 @@ func negotiationTrace(t *testing.T) *fj.Trace {
 
 // streamTrace runs tr through one session with the given options and
 // returns the remote report plus the client's transport accounting.
-func streamTrace(t *testing.T, addr string, opts client.Options, tr *fj.Trace) *race2d.Report {
+func streamTrace(t *testing.T, addr string, tr *fj.Trace, opts ...client.Option) *race2d.Report {
 	t.Helper()
-	sess, err := client.DialOptions(addr, opts)
+	sess, err := client.Dial(addr, opts...)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -59,29 +61,25 @@ func requireParity(t *testing.T, rep *race2d.Report, tr *fj.Trace) {
 }
 
 // TestNegotiationMatrix pins the capability negotiation outcomes: every
-// pairing of client and server protocol generations must either stream
-// compressed blocks or fall back to plain event frames — never fail,
-// and never change the verdict.
+// pairing of a compressing or opted-out client with a compressing or
+// opted-out server must either stream compressed blocks or fall back to
+// plain event frames — never fail, and never change the verdict.
 func TestNegotiationMatrix(t *testing.T) {
 	tr := negotiationTrace(t)
 	cases := []struct {
 		name       string
 		server     server.Config
-		client     client.Options
+		client     []client.Option
 		wantBlocks bool
 	}{
-		{"v3 client, v3 server", server.Config{}, client.Options{}, true},
-		{"v3 client, v2-capped server", server.Config{MaxVersion: 2}, client.Options{}, false},
-		{"v2-capped client, v3 server", server.Config{}, client.Options{MaxVersion: 2}, false},
-		{"no-compress client, v3 server", server.Config{}, client.Options{NoCompress: true}, false},
-		{"v3 client, no-compress server", server.Config{NoCompress: true}, client.Options{}, false},
+		{"v3 client, v3 server", server.Config{}, nil, true},
+		{"no-compress client, v3 server", server.Config{}, []client.Option{client.WithNoCompress()}, false},
+		{"v3 client, no-compress server", server.Config{NoCompress: true}, nil, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, addr := startServer(t, tc.server)
-			opts := tc.client
-			opts.FrameEvents = 4096
-			rep := streamTrace(t, addr, opts, tr)
+			rep := streamTrace(t, addr, tr, append(tc.client, client.WithFrameEvents(4096))...)
 			requireParity(t, rep, tr)
 			st := srv.Stats()
 			if tc.wantBlocks && st.WireBlocks == 0 {
@@ -94,62 +92,75 @@ func TestNegotiationMatrix(t *testing.T) {
 	}
 }
 
-// TestNegotiationMixedSessions runs a compressed, an opted-out and a
-// v2 session against one server: per-session negotiation must not
-// leak — only the compressed session's events arrive as blocks, and
-// all three verdicts match the local replay.
+// TestNegotiationMixedSessions runs a compressed and an opted-out
+// session against one server: per-session negotiation must not leak —
+// only the compressed session's events arrive as blocks, and both
+// verdicts match the local replay.
 func TestNegotiationMixedSessions(t *testing.T) {
 	tr := negotiationTrace(t)
 	srv, addr := startServer(t, server.Config{})
-	for _, opts := range []client.Options{
-		{FrameEvents: 4096},
-		{FrameEvents: 4096, NoCompress: true},
-		{FrameEvents: 4096, MaxVersion: 2},
-	} {
-		requireParity(t, streamTrace(t, addr, opts, tr), tr)
-	}
+	requireParity(t, streamTrace(t, addr, tr, client.WithFrameEvents(4096)), tr)
+	requireParity(t, streamTrace(t, addr, tr, client.WithFrameEvents(4096), client.WithNoCompress()), tr)
 	st := srv.Stats()
 	if st.WireBlocks == 0 {
 		t.Fatal("the compressed session shipped no block frames")
 	}
-	// Exactly one of the three sessions negotiated blocks, so the raw
+	// Exactly one of the two sessions negotiated blocks, so the raw
 	// bytes the blocks stand for are one trace's record form.
 	if want := uint64(fj.EventsSize(tr.Events)); st.WireBytesRaw != want {
 		t.Fatalf("block frames stand for %d raw bytes, want one session's %d", st.WireBytesRaw, want)
 	}
 }
 
-// TestNegotiationV3RefusalOnWire pins the documented refusal: a v3
-// magic sent to a v2-capped server must come back as an Error frame
-// carrying the handshake-refused prefix and the ErrVersion text —
-// that exact shape is what clients key the downgrade-and-retry on.
-func TestNegotiationV3RefusalOnWire(t *testing.T) {
-	_, addr := startServer(t, server.Config{MaxVersion: 2})
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+// TestVersionRefusalOnWire pins the documented refusal: a magic
+// announcing any version but wire.Version, sent to raced or to a
+// racedctl gateway in front of it, must come back as an Error frame
+// carrying the handshake-refused prefix and the ErrVersion text — the
+// shape clients classify as a terminal refusal.
+func TestVersionRefusalOnWire(t *testing.T) {
+	_, backend := startServer(t, server.Config{})
+	gw, err := cluster.NewGateway(cluster.Config{Backends: []cluster.Backend{{Addr: backend}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := wire.WriteMagicVersion(conn, wire.V3); err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.WriteFrame(conn, wire.FrameHello, wire.EncodeHelloV3(wire.Hello{Caps: wire.CapCompress})); err != nil {
-		t.Fatal(err)
-	}
-	ft, payload, err := wire.ReadFrame(conn, nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		t.Fatalf("reading the refusal: %v", err)
+		t.Fatal(err)
 	}
-	if ft != wire.FrameError {
-		t.Fatalf("got %v frame, want FrameError", ft)
-	}
-	text := string(payload)
-	if !strings.HasPrefix(text, wire.HandshakeRefusedPrefix) {
-		t.Errorf("refusal %q lacks prefix %q", text, wire.HandshakeRefusedPrefix)
-	}
-	if !strings.Contains(text, wire.ErrVersion.Error()) {
-		t.Errorf("refusal %q lacks the ErrVersion text %q", text, wire.ErrVersion)
+	go gw.Serve(ln)
+	t.Cleanup(func() { gw.Close() })
+
+	for _, front := range []struct{ name, addr string }{{"raced", backend}, {"racedctl", ln.Addr().String()}} {
+		for _, version := range []byte{1, 2, 99} {
+			t.Run(fmt.Sprintf("%s/v%d", front.name, version), func(t *testing.T) {
+				conn, err := net.DialTimeout("tcp", front.addr, 5*time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer conn.Close()
+				conn.SetDeadline(time.Now().Add(5 * time.Second))
+				if _, err := conn.Write([]byte{'R', 'D', 'S', version}); err != nil {
+					t.Fatal(err)
+				}
+				if err := wire.WriteFrame(conn, wire.FrameHello, wire.EncodeHello(wire.Hello{Caps: wire.CapCompress})); err != nil {
+					t.Fatal(err)
+				}
+				ft, payload, err := wire.ReadFrame(conn, nil)
+				if err != nil {
+					t.Fatalf("reading the refusal: %v", err)
+				}
+				if ft != wire.FrameError {
+					t.Fatalf("got %v frame, want FrameError", ft)
+				}
+				text := string(payload)
+				if !strings.HasPrefix(text, wire.HandshakeRefusedPrefix) {
+					t.Errorf("refusal %q lacks prefix %q", text, wire.HandshakeRefusedPrefix)
+				}
+				if !strings.Contains(text, wire.ErrVersion.Error()) {
+					t.Errorf("refusal %q lacks the ErrVersion text %q", text, wire.ErrVersion)
+				}
+			})
+		}
 	}
 }
 
@@ -159,7 +170,7 @@ func TestNegotiationV3RefusalOnWire(t *testing.T) {
 func TestNegotiationCompressionRatio(t *testing.T) {
 	tr := negotiationTrace(t)
 	srv, addr := startServer(t, server.Config{})
-	rep := streamTrace(t, addr, client.Options{FrameEvents: 8192}, tr)
+	rep := streamTrace(t, addr, tr, client.WithFrameEvents(8192))
 	requireParity(t, rep, tr)
 	st := srv.Stats()
 	if st.WireBlocks == 0 {

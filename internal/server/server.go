@@ -19,12 +19,13 @@
 // Report frame flagged Partial — a coherent verdict for the prefix of
 // the stream the detector consumed.
 //
-// # Fault tolerance (protocol v2)
+// # Fault tolerance
 //
-// The server speaks wire protocol v1 and v2, negotiated by the magic's
-// version byte. A v2 session numbers its Events frames with contiguous
+// The server speaks the one wire protocol version (wire.Version); a
+// stream announcing any other version is refused with the documented
+// version error. A session numbers its Events frames with contiguous
 // sequence numbers and the server acknowledges the highest contiguously
-// ingested sequence after every Events (and Heartbeat) frame. When a v2
+// ingested sequence after every Events (and Heartbeat) frame. When a
 // connection dies mid-stream the session is not torn down: it is
 // suspended — queue, engine, and sequence cursor intact — for up to
 // ResumeWindow. A reconnecting client presents the resume token from
@@ -34,25 +35,22 @@
 // discarded, so the engine sees every event exactly once and the
 // verdict is byte-identical to an undisturbed run — any prefix of the
 // stream is a coherent detector state, so re-extending it from the last
-// acknowledged point is always safe. Reports of finished v2 sessions
+// acknowledged point is always safe. Reports of finished sessions
 // are cached for ResumeWindow so a client that lost the connection
 // after Finish but before the Report can resume and still collect it.
 //
-// # Wire compression (protocol v3)
+// # Wire compression
 //
-// A v3 session negotiates capabilities in the handshake; when the
-// server grants CapCompress (the default — Config.NoCompress withholds
-// it) the client ships event batches as compressed EventsBlock frames.
-// Blocks carry the same sequence numbers as v2 Events frames and are
-// acked, deduplicated and resumed identically; each block is
-// self-contained, so a block resent to a restarted server decodes to
-// the same events. Config.MaxVersion pins the server to an older
-// protocol; newer clients are refused with the documented version
-// error, which they answer by downgrading.
+// A session negotiates capabilities in the handshake; when the server
+// grants CapCompress (the default — Config.NoCompress withholds it) the
+// client ships event batches as compressed EventsBlock frames. Blocks
+// carry the same sequence numbers as plain Events frames and are acked,
+// deduplicated and resumed identically; each block is self-contained,
+// so a block resent to a restarted server decodes to the same events.
 //
 // # Durable reports, tenants and quotas
 //
-// Every cleanly finished v2+ session's Report is persisted to
+// Every cleanly finished session's Report is persisted to
 // Config.Store before the Report frame is written, so an acked verdict
 // survives the process: a client that lost the Report — even to a
 // server SIGKILL — resumes by token against the restarted server and
@@ -64,7 +62,7 @@
 // damaged record. Retention is the store's: the janitor calls Compact
 // instead of sweeping a cache map.
 //
-// With Config.Tenants set the server requires a v3 "tenant:key"
+// With Config.Tenants set the server requires a "tenant:key"
 // credential in the Hello (wire.CapTenant); a missing or wrong
 // credential is refused with wire.ErrAuth, and per-tenant session and
 // storage quotas are enforced at admission with wire.ErrQuota — both
@@ -113,10 +111,10 @@ type Config struct {
 	// memory budget for buffered, not-yet-detected events.
 	QueueCapacity int
 	// IdleTimeout evicts sessions that deliver no frame for this long.
-	// Zero disables eviction. (v2 clients send heartbeats, so a live
-	// but quiet v2 client is not evicted.)
+	// Zero disables eviction. (Clients send heartbeats, so a live but
+	// quiet client is not evicted.)
 	IdleTimeout time.Duration
-	// ResumeWindow bounds how long a suspended v2 session (and the
+	// ResumeWindow bounds how long a suspended session (and the
 	// cached Report of a finished one) survives awaiting a resume.
 	// <= 0 means DefaultResumeWindow.
 	ResumeWindow time.Duration
@@ -131,13 +129,7 @@ type Config struct {
 	// back to serial detection — verdict-identical, just not parallel.
 	// <= 0 means Shards × MaxSessions (never a constraint).
 	ShardBudget int
-	// MaxVersion caps the wire protocol version the server speaks
-	// (0 or out of range means the newest, wire.Version). Connections
-	// announcing a newer version are refused with the documented
-	// version error, which v3+ clients answer by downgrading. The knob
-	// exists for staged fleet rollouts and the negotiation tests.
-	MaxVersion int
-	// NoCompress withholds the CapCompress capability: v3 sessions are
+	// NoCompress withholds the CapCompress capability: sessions are
 	// accepted but granted no compression, so clients fall back to
 	// plain Events frames.
 	NoCompress bool
@@ -147,10 +139,9 @@ type Config struct {
 	// always had. The server owns the store it is given and closes it on
 	// Close/Shutdown.
 	Store store.Store
-	// Tenants, when non-empty, turns on tenant auth: every v3 Hello must
+	// Tenants, when non-empty, turns on tenant auth: every Hello must
 	// carry a "tenant:key" credential matching this table, and the named
-	// quotas are enforced at admission. Sessions below v3 (which cannot
-	// carry a credential) are refused. Empty runs the server open, with
+	// quotas are enforced at admission. Empty runs the server open, with
 	// every session under the anonymous "" tenant. This is only the
 	// table the server STARTS with: SetTenants (the admin surface, or a
 	// SIGHUP reload of -tenant-keys-file) swaps it live.
@@ -231,9 +222,6 @@ func (c Config) normalized() Config {
 	if c.ShardBudget <= 0 {
 		c.ShardBudget = c.Shards * c.MaxSessions
 	}
-	if c.MaxVersion <= 0 || c.MaxVersion > wire.Version {
-		c.MaxVersion = wire.Version
-	}
 	if c.RevokeGrace <= 0 {
 		c.RevokeGrace = DefaultRevokeGrace
 	}
@@ -241,7 +229,7 @@ func (c Config) normalized() Config {
 }
 
 // grantedCaps is the capability set this server is willing to grant a
-// v3 session.
+// session.
 func (c Config) grantedCaps() uint64 {
 	if c.NoCompress {
 		return 0
@@ -307,7 +295,7 @@ type Server struct {
 	quotaRefusals     atomic.Uint64
 	storePutErrors    atomic.Uint64
 
-	// Block-compression accounting (v3 CapCompress sessions): block
+	// Block-compression accounting (CapCompress sessions): block
 	// count, payload bytes on the wire, and the raw record-form bytes
 	// those blocks decoded to — the bandwidth the codec saved.
 	blocks          atomic.Uint64
@@ -485,9 +473,19 @@ func (s *Server) Addr() net.Addr {
 // detects what it already buffered and sends a Partial report — and
 // waits for them to finish, up to ctx's deadline. Suspended sessions
 // have no peer to report to and are discarded.
+//
+// Drain promises a session exactly this: whatever its serve loop has
+// not yet read is never read. A session whose Finish frame was already
+// read when the drain began is past that point — it completes normally
+// on this server, and its full (not Partial) Report is persisted and
+// delivered. A session that had not yet read its Finish gets the
+// Partial report for the prefix it consumed. The server stops
+// accepting and flags every live session in one critical section, so
+// once Draining reports true no session that has not read its Finish
+// can still complete here.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.beginClose()
 	s.mu.Lock()
+	s.beginCloseLocked()
 	for _, sess := range s.sessions {
 		if sess.state == stateSuspended {
 			s.abandonLocked(sess)
@@ -524,8 +522,8 @@ func (s *Server) closeStores() error {
 
 // Close abruptly terminates the server and every live session.
 func (s *Server) Close() error {
-	s.beginClose()
 	s.mu.Lock()
+	s.beginCloseLocked()
 	for _, sess := range s.sessions {
 		if sess.state == stateSuspended {
 			s.abandonLocked(sess)
@@ -538,8 +536,9 @@ func (s *Server) Close() error {
 	return s.closeStores()
 }
 
-func (s *Server) beginClose() {
-	s.mu.Lock()
+// beginCloseLocked stops accepting: it marks the server closed and
+// closes the listener. Caller holds s.mu.
+func (s *Server) beginCloseLocked() {
 	if !s.closed {
 		s.closed = true
 		close(s.done)
@@ -547,7 +546,6 @@ func (s *Server) beginClose() {
 			s.ln.Close()
 		}
 	}
-	s.mu.Unlock()
 }
 
 // janitor evicts sessions idle past IdleTimeout, expires suspended
@@ -629,16 +627,16 @@ var errSessionLimit = errors.New("raced: session limit reached")
 // authenticate resolves the session's tenant from the Hello credential.
 // An open server (empty live tenant table) admits everyone under the
 // anonymous "" tenant and ignores the credential. A tenant-keyed server
-// requires a v3 "tenant:key" credential matching the LIVE table — the
+// requires a "tenant:key" credential matching the LIVE table — the
 // one SetTenants last installed, so a rotation or revocation bites the
 // very next handshake — anything else is wire.ErrAuth. The error text
 // never says which part of the credential failed, and the key
 // comparison is constant-time.
-func (s *Server) authenticate(version int, hello wire.Hello) (string, error) {
+func (s *Server) authenticate(hello wire.Hello) (string, error) {
 	if !s.tenantsEnabled() {
 		return "", nil
 	}
-	if version < wire.V3 || hello.Auth == "" {
+	if hello.Auth == "" {
 		s.authFailures.Add(1)
 		return "", fmt.Errorf("%w (tenant credential required)", wire.ErrAuth)
 	}
@@ -654,7 +652,7 @@ func (s *Server) authenticate(version int, hello wire.Hello) (string, error) {
 
 // admit registers a new session, or refuses it with errDraining,
 // errSessionLimit, or (per-tenant quota exhaustion) wire.ErrQuota.
-func (s *Server) admit(conn net.Conn, version int, hello wire.Hello, tenant string) (*session, error) {
+func (s *Server) admit(conn net.Conn, hello wire.Hello, tenant string) (*session, error) {
 	// Tenant quota and capability decisions read the live table (and the
 	// store) before taking s.mu: both have their own locks and never call
 	// back into the server.
@@ -683,19 +681,14 @@ func (s *Server) admit(conn net.Conn, version int, hello wire.Hello, tenant stri
 		}
 	}
 	s.nextID++
-	var caps uint64
-	if version >= wire.V3 {
-		granted := s.cfg.grantedCaps()
-		if tenantsOn {
-			granted |= wire.CapTenant
-		}
-		caps = hello.Caps & granted
+	granted := s.cfg.grantedCaps()
+	if tenantsOn {
+		granted |= wire.CapTenant
 	}
 	sess := &session{
 		id:      s.nextID,
 		token:   s.tokenBase ^ (s.nextID * 0x9E3779B97F4A7C15),
-		version: version,
-		caps:    caps,
+		caps:    hello.Caps & granted,
 		hello:   hello,
 		tenant:  tenant,
 		srv:     s,
@@ -797,46 +790,33 @@ func (s *Server) refuse(conn net.Conn, err error) {
 	wire.WriteFrame(conn, wire.FrameError, []byte(wire.HandshakeRefusedPrefix+err.Error()))
 }
 
-// handshake reads the magic and opening frame off a fresh connection
-// and negotiates the protocol version. A session opens with FrameHello,
+// handshake reads the magic and opening frame off a fresh connection.
+// A magic announcing any version but wire.Version fails with
+// wire.ErrVersion, which handle sends back as the documented refusal.
+// A session opens with FrameHello,
 // decoded into the returned wire.Hello; a replication source opens with
 // FrameReplHello, whose raw payload is returned instead (non-nil) for
 // the replica set to verify — replication shares the listener, so the
 // split happens here, on the first frame's type.
-func (s *Server) handshake(conn net.Conn) (int, wire.Hello, []byte, error) {
-	var hello wire.Hello
-	version, err := wire.ReadMagicVersion(conn)
-	if err != nil {
-		return 0, hello, nil, err
-	}
-	if version > s.cfg.MaxVersion {
-		// Refuse with the documented version error; a newer client
-		// recognizes it in the refusal text and downgrades.
-		return 0, hello, nil, fmt.Errorf("%w: version %d, speak %d..%d",
-			wire.ErrVersion, version, wire.V1, s.cfg.MaxVersion)
+func (s *Server) handshake(conn net.Conn) (wire.Hello, []byte, error) {
+	if err := wire.ReadMagic(conn); err != nil {
+		return wire.Hello{}, nil, err
 	}
 	ft, payload, err := wire.ReadFrame(conn, nil)
 	if err != nil {
-		return 0, hello, nil, fmt.Errorf("raced: reading hello: %w", err)
+		return wire.Hello{}, nil, fmt.Errorf("raced: reading hello: %w", err)
 	}
 	if ft == wire.FrameReplHello && s.cfg.Replicas != nil {
-		return version, hello, payload, nil
+		return wire.Hello{}, payload, nil
 	}
 	if ft != wire.FrameHello {
-		return 0, hello, nil, fmt.Errorf("raced: expected hello frame, got %v", ft)
+		return wire.Hello{}, nil, fmt.Errorf("raced: expected hello frame, got %v", ft)
 	}
-	switch {
-	case version >= wire.V3:
-		hello, err = wire.DecodeHelloV3(payload)
-	case version >= wire.V2:
-		hello, err = wire.DecodeHelloV2(payload)
-	default:
-		hello, err = wire.DecodeHello(payload)
-	}
+	hello, err := wire.DecodeHello(payload)
 	if err != nil {
-		return 0, hello, nil, fmt.Errorf("raced: malformed hello: %w", err)
+		return wire.Hello{}, nil, fmt.Errorf("raced: malformed hello: %w", err)
 	}
-	return version, hello, nil, nil
+	return hello, nil, nil
 }
 
 // handle runs one connection from accept to close: handshake, then
@@ -844,7 +824,7 @@ func (s *Server) handshake(conn net.Conn) (int, wire.Hello, []byte, error) {
 // replication stream, or a refusal.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
-	version, hello, replHello, err := s.handshake(conn)
+	hello, replHello, err := s.handshake(conn)
 	if err != nil {
 		if errors.Is(err, wire.ErrEmptyHandshake) {
 			// A connect immediately closed is a TCP health probe (load
@@ -867,7 +847,7 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		return
 	}
-	tenant, err := s.authenticate(version, hello)
+	tenant, err := s.authenticate(hello)
 	if err != nil {
 		// Auth refusals ride the handshake-refusal prefix like every
 		// other pre-session refusal, but carry the ErrAuth text, which
@@ -879,8 +859,8 @@ func (s *Server) handle(conn net.Conn) {
 		wire.WriteFrame(conn, wire.FrameError, []byte(wire.HandshakeRefusedPrefix+err.Error()))
 		return
 	}
-	if version >= wire.V2 && hello.Token != 0 {
-		s.resume(conn, version, hello, tenant)
+	if hello.Token != 0 {
+		s.resume(conn, hello, tenant)
 		return
 	}
 
@@ -894,7 +874,7 @@ func (s *Server) handle(conn net.Conn) {
 		wire.WriteFrame(conn, wire.FrameError, []byte(err.Error()))
 		return
 	}
-	sess, err := s.admit(conn, version, hello, tenant)
+	sess, err := s.admit(conn, hello, tenant)
 	if err != nil {
 		s.sessionsRejected.Add(1)
 		conn.SetWriteDeadline(time.Now().Add(drainGrace))
@@ -909,22 +889,80 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	sess.shards = s.acquireShards(eng)
 	sess.startConsumer(eng)
-	s.logf("session %d: open (v%d engine=%s batch=%d shards=%d) from %v",
-		sess.id, version, eng, hello.BatchSize, sess.shards, conn.RemoteAddr())
+	s.logf("session %d: open (engine=%s batch=%d shards=%d) from %v",
+		sess.id, eng, hello.BatchSize, sess.shards, conn.RemoteAddr())
 	sess.serve(conn)
 }
 
-// resume hands a reconnecting v2+ client back its suspended session (or
+// resume hands a reconnecting client back its suspended session (or
 // its persisted Report, if the session already finished — served from
 // the store, so it survives a server restart).
-func (s *Server) resume(conn net.Conn, version int, hello wire.Hello, tenant string) {
-	rec, err := s.store.Get(hello.Token)
+//
+// A reconnect can reach the server before the server has noticed that
+// the session's previous connection died: a gateway in between closes
+// its backend connection only after the client side failed, and the
+// client redials at once. The token proves the session is this
+// client's, and a client redials only after abandoning its old
+// connection, so resume severs the stale connection and waits (up to
+// drainGrace) for its serve loop to suspend the session — or, if that
+// loop had already read Finish, to persist the Report — rather than
+// refusing a genuine resume and forcing a replay into a new session.
+func (s *Server) resume(conn net.Conn, hello wire.Hello, tenant string) {
+	deadline := time.Now().Add(drainGrace)
+	for {
+		if s.resumeFinished(conn, hello.Token, tenant) {
+			return
+		}
+		s.mu.Lock()
+		var target *session
+		for _, sess := range s.sessions {
+			if sess.token == hello.Token && sess.tenant == tenant {
+				target = sess
+				break
+			}
+		}
+		if target != nil && target.state == stateSuspended {
+			// Adopt: the suspended serve loop has fully exited (suspension
+			// is its last act, under this lock), so the session is ours.
+			// The session's capabilities narrow to what the new handshake
+			// offers, so a client that reconnected without one gets no
+			// stale grant.
+			target.state = stateRunning
+			target.conn = conn
+			target.caps &= hello.Caps
+			s.mu.Unlock()
+			s.resumes.Add(1)
+			target.lastActive.Store(time.Now().UnixNano())
+			s.logf("session %d: resumed from %v (next seq %d)", target.id, conn.RemoteAddr(), target.nextSeq)
+			target.serve(conn)
+			return
+		}
+		if target != nil && target.state == stateRunning && target.conn != nil && time.Now().Before(deadline) {
+			target.conn.Close()
+			s.mu.Unlock()
+			time.Sleep(time.Millisecond)
+			continue
+		}
+		s.mu.Unlock()
+		break
+	}
+	s.logf("resume refused from %v: unknown token", conn.RemoteAddr())
+	conn.SetWriteDeadline(time.Now().Add(drainGrace))
+	wire.WriteFrame(conn, wire.FrameError, []byte(wire.ErrUnknownResume.Error()))
+}
+
+// resumeFinished answers a resume from the store when the token names
+// a persisted Report (re-sending it) or the store is damaged (refusing
+// with the typed tamper text). It reports whether conn was answered;
+// false means the token is not in the store.
+func (s *Server) resumeFinished(conn net.Conn, token uint64, tenant string) bool {
+	rec, err := s.store.Get(token)
 	if err != nil && !errors.Is(err, store.ErrTampered) && s.cfg.Replicas != nil {
 		// The primary store does not know the token, but a replica this
 		// follower hosts might: a client whose home backend died fetches
 		// its report from any follower of that backend. Tenant ownership
 		// is enforced below exactly as for a home-store hit.
-		if rrec, rerr := s.cfg.Replicas.Get(hello.Token); rerr == nil {
+		if rrec, rerr := s.cfg.Replicas.Get(token); rerr == nil {
 			rec, err = rrec, nil
 		}
 	}
@@ -938,23 +976,18 @@ func (s *Server) resume(conn net.Conn, version int, hello wire.Hello, tenant str
 			s.logf("resume refused from %v: token crosses tenants", conn.RemoteAddr())
 			conn.SetWriteDeadline(time.Now().Add(drainGrace))
 			wire.WriteFrame(conn, wire.FrameError, []byte(wire.HandshakeRefusedPrefix+wire.ErrAuth.Error()))
-			return
+			return true
 		}
 		s.resumes.Add(1)
 		s.logf("session %d: resume of finished session, re-sending report", rec.Session)
 		conn.SetWriteDeadline(time.Now().Add(drainGrace))
-		welcome := wire.Welcome{Session: rec.Session, Token: hello.Token, NextSeq: rec.NextSeq}
-		wpayload := wire.EncodeWelcomeV2(welcome)
-		if version >= wire.V3 {
-			// The resumed stream is done — no more event frames — so no
-			// capability needs granting, but the client decodes the
-			// Welcome in the shape of the version it reconnected with.
-			wpayload = wire.EncodeWelcomeV3(welcome)
-		}
-		if wire.WriteFrame(conn, wire.FrameWelcome, wpayload) == nil {
+		// The resumed stream is done — no more event frames — so no
+		// capability is granted.
+		welcome := wire.Welcome{Session: rec.Session, Token: token, NextSeq: rec.NextSeq}
+		if wire.WriteFrame(conn, wire.FrameWelcome, wire.EncodeWelcome(welcome)) == nil {
 			wire.WriteFrame(conn, wire.FrameReport, wire.EncodeReport(rec.Flags, rec.JSON))
 		}
-		return
+		return true
 	case errors.Is(err, store.ErrTampered):
 		// The store cannot prove anything about this token: the log is
 		// damaged at or before where the record would live. Refuse with
@@ -963,42 +996,9 @@ func (s *Server) resume(conn net.Conn, version int, hello wire.Hello, tenant str
 		s.logf("resume refused from %v: %v", conn.RemoteAddr(), err)
 		conn.SetWriteDeadline(time.Now().Add(drainGrace))
 		wire.WriteFrame(conn, wire.FrameError, []byte(err.Error()))
-		return
+		return true
 	}
-	s.mu.Lock()
-	var target *session
-	for _, sess := range s.sessions {
-		if sess.token == hello.Token && sess.state == stateSuspended && sess.tenant == tenant {
-			target = sess
-			break
-		}
-	}
-	if target != nil {
-		// Adopt: the suspended serve loop has fully exited (suspension is
-		// its last act, under this lock), so the session is ours. The
-		// session re-pins to the version and capabilities of the new
-		// handshake (intersected with what was granted before), so a
-		// client that reconnected at a lower version gets a coherently
-		// shaped Welcome and no stale capability.
-		target.state = stateRunning
-		target.conn = conn
-		target.version = version
-		if version >= wire.V3 {
-			target.caps &= hello.Caps
-		} else {
-			target.caps = 0
-		}
-		s.mu.Unlock()
-		s.resumes.Add(1)
-		target.lastActive.Store(time.Now().UnixNano())
-		s.logf("session %d: resumed from %v (next seq %d)", target.id, conn.RemoteAddr(), target.nextSeq)
-		target.serve(conn)
-		return
-	}
-	s.mu.Unlock()
-	s.logf("resume refused from %v: unknown token", conn.RemoteAddr())
-	conn.SetWriteDeadline(time.Now().Add(drainGrace))
-	wire.WriteFrame(conn, wire.FrameError, []byte(wire.ErrUnknownResume.Error()))
+	return false
 }
 
 // Draining reports whether the server has stopped accepting fresh
@@ -1339,18 +1339,17 @@ type sessState int
 
 const (
 	stateRunning   sessState = iota // a connection is attached and serving
-	stateSuspended                  // v2: connection lost, awaiting resume
+	stateSuspended                  // connection lost, awaiting resume
 	stateDone                       // finished or torn down
 )
 
 type session struct {
-	id      uint64
-	token   uint64
-	version int
-	caps    uint64 // granted v3 capabilities (0 below v3)
-	hello   wire.Hello
-	tenant  string // authenticated tenant ("" on an open server)
-	srv     *Server
+	id     uint64
+	token  uint64
+	caps   uint64 // granted capabilities
+	hello  wire.Hello
+	tenant string // authenticated tenant ("" on an open server)
+	srv    *Server
 
 	queue    *fj.EventQueue
 	drained  chan struct{} // closed when the consumer finished feeding the engine
@@ -1366,7 +1365,7 @@ type session struct {
 	// and read back under it at adoption, which orders the handoff.
 	state          sessState
 	conn           net.Conn // nil while suspended
-	nextSeq        uint64   // next expected v2 events sequence
+	nextSeq        uint64   // next expected events sequence
 	resumeDeadline time.Time
 	// revokeDeadline, when non-zero, marks this session's tenant as
 	// removed from the live table: the janitor evicts the session once
@@ -1444,7 +1443,7 @@ func (sess *session) interrupted(err error) bool {
 		(sess.draining.Load() || sess.evicting.Load())
 }
 
-// suspend parks a v2 session whose connection died, keeping its
+// suspend parks a session whose connection died, keeping its
 // pipeline alive for ResumeWindow. Reports whether the session was
 // suspended; false means the server is closing and the caller must
 // tear down instead.
@@ -1466,7 +1465,7 @@ func (sess *session) suspend(nextSeq uint64, cause error) bool {
 }
 
 // serve runs the frame loop for one connection attached to this
-// session. For a v2 session it may be called again later with the next
+// session. It may be called again later with the next
 // connection after a suspend/resume cycle.
 func (sess *session) serve(conn net.Conn) {
 	srv := sess.srv
@@ -1475,22 +1474,11 @@ func (sess *session) serve(conn net.Conn) {
 	nextSeq := sess.nextSeq
 	srv.mu.Unlock()
 
-	welcome := wire.Welcome{Session: sess.id}
-	var wpayload []byte
-	switch {
-	case sess.version >= wire.V3:
-		welcome.Token, welcome.NextSeq, welcome.Caps = sess.token, nextSeq, sess.caps
-		wpayload = wire.EncodeWelcomeV3(welcome)
-	case sess.version >= wire.V2:
-		welcome.Token, welcome.NextSeq = sess.token, nextSeq
-		wpayload = wire.EncodeWelcomeV2(welcome)
-	default:
-		wpayload = wire.EncodeWelcome(welcome)
-	}
+	welcome := wire.Welcome{Session: sess.id, Token: sess.token, NextSeq: nextSeq, Caps: sess.caps}
 	conn.SetWriteDeadline(time.Now().Add(drainGrace))
-	if err := wire.WriteFrame(conn, wire.FrameWelcome, wpayload); err != nil {
+	if err := wire.WriteFrame(conn, wire.FrameWelcome, wire.EncodeWelcome(welcome)); err != nil {
 		srv.logf("session %d: welcome: %v", sess.id, err)
-		if sess.version >= wire.V2 && sess.suspend(nextSeq, err) {
+		if sess.suspend(nextSeq, err) {
 			return
 		}
 		sess.teardown(conn, nil)
@@ -1524,9 +1512,8 @@ frames:
 				slab []fj.Event
 				err  error
 			)
-			switch {
-			case ft == wire.FrameEventsBlock:
-				if sess.version < wire.V3 || sess.caps&wire.CapCompress == 0 {
+			if ft == wire.FrameEventsBlock {
+				if sess.caps&wire.CapCompress == 0 {
 					readErr = errors.New("raced: compressed block on a session without the compress capability")
 					protoErr = true
 					break frames
@@ -1538,20 +1525,8 @@ frames:
 					srv.wireBytesBlocks.Add(uint64(len(payload)))
 					srv.wireBytesRaw.Add(uint64(rawLen))
 				}
-			case sess.version >= wire.V2:
+			} else {
 				seq, slab, err = wire.DecodeEventsSeq(sess.queue.NewSlab(), payload)
-			default:
-				// v1: unsequenced, unacknowledged.
-				slab, err = wire.DecodeEvents(sess.queue.NewSlab(), payload)
-				if err != nil {
-					readErr, protoErr = err, true
-					break frames
-				}
-				if err := sess.queue.Push(slab); err != nil {
-					readErr = err
-					break frames
-				}
-				continue
 			}
 			if err != nil {
 				readErr, protoErr = err, true
@@ -1580,11 +1555,6 @@ frames:
 				break frames
 			}
 		case wire.FrameHeartbeat:
-			if sess.version < wire.V2 {
-				readErr = fmt.Errorf("server: unexpected %v frame mid-stream", ft)
-				protoErr = true
-				break frames
-			}
 			// Keepalive: answer with the current ack so the client's
 			// dead-peer detector sees a live server.
 			if err := sess.writeAck(conn, nextSeq-1); err != nil {
@@ -1601,9 +1571,9 @@ frames:
 		}
 	}
 
-	// A dead v2 transport suspends the session — everything else tears
-	// it down (after the engine consumed what was buffered).
-	if readErr != nil && !finished && !protoErr && sess.version >= wire.V2 &&
+	// A dead transport suspends the session — everything else tears it
+	// down (after the engine consumed what was buffered).
+	if readErr != nil && !finished && !protoErr &&
 		!sess.evicting.Load() && !sess.draining.Load() {
 		if sess.suspend(nextSeq, readErr) {
 			return
@@ -1665,13 +1635,13 @@ func (sess *session) finish(conn net.Conn, nextSeq uint64, finished bool, readEr
 	}
 	payload := wire.EncodeReport(flags, body)
 
-	// Persist the verdict of a cleanly finished v2+ session before
+	// Persist the verdict of a cleanly finished session before
 	// trying to deliver it: if the connection dies mid-Report — or the
 	// whole process dies — the client resumes and collects the identical
 	// bytes from the store. Delivery is never blocked on a store
 	// failure: the client holding the connection still gets its Report,
 	// and the failure is logged and counted.
-	if finished && sess.version >= wire.V2 {
+	if finished {
 		err := srv.store.Put(store.Record{
 			Token:   sess.token,
 			Session: sess.id,

@@ -11,11 +11,11 @@ import (
 	"repro/internal/fj"
 )
 
-// Block codec for FrameEventsBlock (v3, CapCompress).
+// Block codec for FrameEventsBlock (CapCompress).
 //
 // A block payload is:
 //
-//	uvarint  seq      batch sequence number (>= 1, same space as v2 Events)
+//	uvarint  seq      batch sequence number (>= 1, same space as Events)
 //	uvarint  count    number of events in the block
 //	uvarint  rawLen   size of the batch in the raw record form (fj.AppendEvents)
 //	1 byte   scheme   0 raw, 1 delta, 2 flate, 3 delta+flate
@@ -34,7 +34,7 @@ import (
 // write y}` collapses to one literal pair plus one copy token. A block
 // is fully self-contained — delta state resets at the block boundary —
 // so a block resent to a freshly restarted server decodes identically,
-// preserving the v2 resume guarantee.
+// preserving the resume guarantee.
 //
 // Scheme 2 wraps the raw record form in DEFLATE, for blocks where the
 // deltas do not cooperate; scheme 0 ships the raw form unchanged when

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -206,43 +205,28 @@ func TestBlockDecodeIntoReusesSlab(t *testing.T) {
 }
 
 func TestHelloWelcomeV3RoundTrip(t *testing.T) {
-	h := Hello{Engine: "2d", BatchSize: 128, Token: 0xfeed, Caps: CapCompress}
-	got, err := DecodeHelloV3(EncodeHelloV3(h))
+	h := Hello{Engine: "2d", BatchSize: 128, Token: 0xfeed, Caps: CapCompress | CapTenant, RouteKey: 9, Auth: "acme:s3cret"}
+	full := EncodeHello(h)
+	got, err := DecodeHello(full)
 	if err != nil || got != h {
-		t.Fatalf("hello v3 round trip: %+v -> %+v (%v)", h, got, err)
+		t.Fatalf("hello round trip: %+v -> %+v (%v)", h, got, err)
 	}
-	// A v2 decoder must still parse the v2 prefix of a v3 hello.
-	gotV2, err := DecodeHelloV2(EncodeHelloV3(h))
-	if err != nil {
-		t.Fatalf("v2 decode of v3 hello: %v", err)
-	}
-	if gotV2.Engine != h.Engine || gotV2.Token != h.Token || gotV2.Caps != 0 {
-		t.Fatalf("v2 decode of v3 hello: %+v", gotV2)
-	}
-	// The trailing auth credential rides after RouteKey and round-trips;
-	// a hello without it decodes with Auth empty (older senders).
-	ha := Hello{Engine: "2d", Caps: CapCompress | CapTenant, RouteKey: 9, Auth: "acme:s3cret"}
-	gotA, err := DecodeHelloV3(EncodeHelloV3(ha))
-	if err != nil || gotA != ha {
-		t.Fatalf("hello v3 auth round trip: %+v -> %+v (%v)", ha, gotA, err)
-	}
-	// A pre-Auth v3 payload (v2 form + caps + routekey only) still
-	// decodes: both trailing fields are optional.
-	old := EncodeHelloV2(ha)
-	old = binary.AppendUvarint(old, ha.Caps)
-	old = binary.AppendUvarint(old, ha.RouteKey)
-	gotOld, err := DecodeHelloV3(old)
-	if err != nil || gotOld.Auth != "" || gotOld.RouteKey != ha.RouteKey {
-		t.Fatalf("pre-auth v3 hello: %+v (%v)", gotOld, err)
+	// Every field is required: any strict prefix of the payload is
+	// truncated, including one that stops before RouteKey or Auth.
+	for n := 0; n < len(full); n++ {
+		if _, err := DecodeHello(full[:n]); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("hello prefix %d/%d: %v, want ErrTruncated", n, len(full), err)
+		}
 	}
 
 	w := Welcome{Session: 3, Token: 0xbeef, NextSeq: 17, Caps: CapCompress}
-	gotW, err := DecodeWelcomeV3(EncodeWelcomeV3(w))
+	wfull := EncodeWelcome(w)
+	gotW, err := DecodeWelcome(wfull)
 	if err != nil || gotW != w {
-		t.Fatalf("welcome v3 round trip: %+v -> %+v (%v)", w, gotW, err)
+		t.Fatalf("welcome round trip: %+v -> %+v (%v)", w, gotW, err)
 	}
-	if _, err := DecodeWelcomeV3(EncodeWelcomeV2(w)); err == nil {
-		t.Fatal("v3 decode of a v2 welcome (missing caps) must error")
+	if _, err := DecodeWelcome(wfull[:len(wfull)-1]); err == nil {
+		t.Fatal("welcome missing its caps must error")
 	}
 }
 
@@ -251,9 +235,11 @@ func TestMagicV3(t *testing.T) {
 	if err := WriteMagic(&buf); err != nil {
 		t.Fatal(err)
 	}
-	v, err := ReadMagicVersion(bytes.NewReader(buf.Bytes()))
-	if err != nil || v != V3 {
-		t.Fatalf("ReadMagicVersion = %d, %v; want %d", v, err, V3)
+	if got := buf.Bytes(); !bytes.Equal(got, []byte("RDS\x03")) {
+		t.Fatalf("WriteMagic = %q, want \"RDS\\x03\"", got)
+	}
+	if err := ReadMagic(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("ReadMagic: %v", err)
 	}
 }
 

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 
 	"repro/internal/fj"
@@ -15,19 +14,19 @@ import (
 func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendFrame(nil, FrameFinish, nil))
-	f.Add(AppendFrame(nil, FrameEvents, EncodeEvents(nil, sampleEvents())))
+	f.Add(AppendFrame(nil, FrameEvents, EncodeEventsSeq(nil, 1, sampleEvents())))
 	f.Add(AppendFrame(nil, FrameHello, EncodeHello(Hello{Engine: "2d", BatchSize: 64})))
 	f.Add([]byte{byte(FrameEvents), 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0})
-	// v2 vocabulary: sequenced events, resume handshake, acks,
+	// The resume vocabulary: sequenced events, resume handshake, acks,
 	// heartbeats.
 	f.Add(AppendFrame(nil, FrameEvents, EncodeEventsSeq(nil, 3, sampleEvents())))
-	f.Add(AppendFrame(nil, FrameHello, EncodeHelloV2(Hello{Engine: "2d", BatchSize: 64, Token: 0xabcdef})))
-	f.Add(AppendFrame(nil, FrameWelcome, EncodeWelcomeV2(Welcome{Session: 9, Token: 1 << 50, NextSeq: 17})))
+	f.Add(AppendFrame(nil, FrameHello, EncodeHello(Hello{Engine: "2d", BatchSize: 64, Token: 0xabcdef})))
+	f.Add(AppendFrame(nil, FrameWelcome, EncodeWelcome(Welcome{Session: 9, Token: 1 << 50, NextSeq: 17})))
 	f.Add(AppendFrame(nil, FrameAck, EncodeAck(1<<20)))
 	f.Add(AppendFrame(nil, FrameHeartbeat, nil))
-	// v3 vocabulary: capability handshakes and compressed blocks.
-	f.Add(AppendFrame(nil, FrameHello, EncodeHelloV3(Hello{Engine: "2d", BatchSize: 64, Token: 7, Caps: CapCompress})))
-	f.Add(AppendFrame(nil, FrameWelcome, EncodeWelcomeV3(Welcome{Session: 2, Token: 0xbeef, NextSeq: 1, Caps: CapCompress})))
+	// Capability handshakes and compressed blocks.
+	f.Add(AppendFrame(nil, FrameHello, EncodeHello(Hello{Engine: "2d", BatchSize: 64, Token: 7, Caps: CapCompress})))
+	f.Add(AppendFrame(nil, FrameWelcome, EncodeWelcome(Welcome{Session: 2, Token: 0xbeef, NextSeq: 1, Caps: CapCompress})))
 	f.Add(AppendFrame(nil, FrameEventsBlock, new(BlockEncoder).AppendBlock(nil, 11, sampleEvents())))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -43,15 +42,12 @@ func FuzzReadFrame(f *testing.F) {
 		if ft != FrameEvents {
 			return
 		}
-		events, err := DecodeEvents(nil, payload)
+		seq, events, err := DecodeEventsSeq(nil, payload)
 		if err != nil {
-			if errors.Is(err, ErrTruncated) || !errors.Is(err, fj.ErrTruncated) {
-				_ = err // either classification is acceptable; just don't panic
-			}
-			return
+			return // malformed input must only error, never panic
 		}
-		reenc := EncodeEvents(nil, events)
-		back, err := DecodeEvents(nil, reenc)
+		reenc := EncodeEventsSeq(nil, seq, events)
+		_, back, err := DecodeEventsSeq(nil, reenc)
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded events failed: %v", err)
 		}
@@ -66,27 +62,29 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// FuzzResume feeds arbitrary bytes to every v2 resume-protocol decoder
-// — the sequence/ack/token vocabulary a hostile or corrupted peer
-// controls — and checks the decoders only ever error, never panic, and
-// that anything they accept round-trips stably through the encoders.
+// FuzzResume feeds arbitrary bytes to every session-protocol payload
+// decoder raced and racedctl run on network input — Hello, Welcome, Ack
+// and sequenced Events, the handshake/sequence/ack/token vocabulary a
+// hostile or corrupted peer controls — and checks the decoders only
+// ever error, never panic, and that anything they accept round-trips
+// stably through the encoders.
 func FuzzResume(f *testing.F) {
-	f.Add(EncodeHelloV2(Hello{Engine: "2d", BatchSize: 64, Token: 42}))
-	f.Add(EncodeWelcomeV2(Welcome{Session: 1, Token: 0xdead, NextSeq: 2}))
+	f.Add(EncodeHello(Hello{Engine: "2d", BatchSize: 64, Token: 42, Caps: CapCompress | CapTenant, RouteKey: 3, Auth: "acme:k"}))
+	f.Add(EncodeWelcome(Welcome{Session: 1, Token: 0xdead, NextSeq: 2, Caps: CapCompress}))
 	f.Add(EncodeAck(7))
 	f.Add(EncodeEventsSeq(nil, 5, sampleEvents()))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if h, err := DecodeHelloV2(data); err == nil {
-			if got, err := DecodeHelloV2(EncodeHelloV2(h)); err != nil || got != h {
-				t.Fatalf("hello v2 round trip: %+v -> %+v (%v)", h, got, err)
+		if h, err := DecodeHello(data); err == nil {
+			if got, err := DecodeHello(EncodeHello(h)); err != nil || got != h {
+				t.Fatalf("hello round trip: %+v -> %+v (%v)", h, got, err)
 			}
 		}
-		if w, err := DecodeWelcomeV2(data); err == nil {
-			if got, err := DecodeWelcomeV2(EncodeWelcomeV2(w)); err != nil || got != w {
-				t.Fatalf("welcome v2 round trip: %+v -> %+v (%v)", w, got, err)
+		if w, err := DecodeWelcome(data); err == nil {
+			if got, err := DecodeWelcome(EncodeWelcome(w)); err != nil || got != w {
+				t.Fatalf("welcome round trip: %+v -> %+v (%v)", w, got, err)
 			}
 		}
 		if seq, err := DecodeAck(data); err == nil {
@@ -107,8 +105,53 @@ func FuzzResume(f *testing.F) {
 	})
 }
 
+// FuzzDecodeRepl feeds arbitrary bytes to the four replication payload
+// decoders — the bytes a follower reads from a primary and a primary
+// reads back from a follower — and checks they only ever error, never
+// panic, and that anything they accept round-trips stably through the
+// encoders.
+func FuzzDecodeRepl(f *testing.F) {
+	var chain [ChainHashSize]byte
+	for i := range chain {
+		chain[i] = byte(i * 7)
+	}
+	f.Add(EncodeReplHello(ReplHello{SourceID: "primary-1", Key: "rk"}))
+	f.Add(EncodeReplWelcome(ReplWelcome{Next: 12, Chain: chain}))
+	f.Add(EncodeReplRecord(nil, ReplRecord{Index: 4, Framed: []byte("framed record bytes")}))
+	f.Add(EncodeReplAck(1 << 33))
+	f.Add([]byte{})
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if h, err := DecodeReplHello(data); err == nil {
+			if got, err := DecodeReplHello(EncodeReplHello(h)); err != nil || got != h {
+				t.Fatalf("repl hello round trip: %+v -> %+v (%v)", h, got, err)
+			}
+		}
+		if w, err := DecodeReplWelcome(data); err == nil {
+			if got, err := DecodeReplWelcome(EncodeReplWelcome(w)); err != nil || got != w {
+				t.Fatalf("repl welcome round trip: %+v -> %+v (%v)", w, got, err)
+			}
+		}
+		if r, err := DecodeReplRecord(data); err == nil {
+			if len(r.Framed) == 0 {
+				t.Fatal("repl record decoder accepted an empty record")
+			}
+			got, err := DecodeReplRecord(EncodeReplRecord(nil, r))
+			if err != nil || got.Index != r.Index || !bytes.Equal(got.Framed, r.Framed) {
+				t.Fatalf("repl record round trip: %d/%x -> %d/%x (%v)", r.Index, r.Framed, got.Index, got.Framed, err)
+			}
+		}
+		if next, err := DecodeReplAck(data); err == nil {
+			if got, err := DecodeReplAck(EncodeReplAck(next)); err != nil || got != next {
+				t.Fatalf("repl ack round trip: %d -> %d (%v)", next, got, err)
+			}
+		}
+	})
+}
+
 // FuzzDecodeBlock feeds arbitrary bytes to the block decompressor — the
-// payload a hostile or corrupted v3 peer controls — and checks it only
+// payload a hostile or corrupted peer controls — and checks it only
 // ever errors, never panics, and that anything it accepts re-encodes to
 // a block that decodes back to the same events (the codec is stable
 // even if the accepted byte form differs from what our encoder emits).

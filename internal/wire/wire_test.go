@@ -26,7 +26,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := WriteMagic(&buf); err != nil {
 		t.Fatal(err)
 	}
-	payload := EncodeEvents(nil, sampleEvents())
+	payload := EncodeEventsSeq(nil, 1, sampleEvents())
 	if err := WriteFrame(&buf, FrameEvents, payload); err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if ft != FrameEvents {
 		t.Fatalf("frame type %v, want events", ft)
 	}
-	events, err := DecodeEvents(nil, got)
+	_, events, err := DecodeEventsSeq(nil, got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestTruncatedFrameIsSentinel(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, FrameEvents, EncodeEvents(nil, sampleEvents())); err != nil {
+	if err := WriteFrame(&buf, FrameEvents, EncodeEventsSeq(nil, 1, sampleEvents())); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -85,7 +85,7 @@ func TestTruncatedFrameIsSentinel(t *testing.T) {
 
 func TestChecksumCatchesCorruption(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, FrameEvents, EncodeEvents(nil, sampleEvents())); err != nil {
+	if err := WriteFrame(&buf, FrameEvents, EncodeEventsSeq(nil, 1, sampleEvents())); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -129,30 +129,22 @@ func TestBadMagic(t *testing.T) {
 	}
 }
 
-func TestMagicVersionNegotiation(t *testing.T) {
-	for _, v := range []byte{V1, V2} {
-		var buf bytes.Buffer
-		if err := WriteMagicVersion(&buf, v); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadMagicVersion(&buf)
-		if err != nil || got != int(v) {
-			t.Fatalf("version %d: got %d err=%v", v, got, err)
+// TestMagicRefusesOtherVersions: the package speaks one version; an
+// "RDS" magic announcing any other is ErrVersion, not ErrBadMagic.
+func TestMagicRefusesOtherVersions(t *testing.T) {
+	for _, v := range []byte{0, 1, 2, Version + 1, 99, 0xFF} {
+		if err := ReadMagic(bytes.NewReader([]byte{'R', 'D', 'S', v})); !errors.Is(err, ErrVersion) {
+			t.Fatalf("version %d: %v, want ErrVersion", v, err)
 		}
 	}
-	if _, err := ReadMagicVersion(bytes.NewReader([]byte{'R', 'D', 'S', 0})); !errors.Is(err, ErrVersion) {
-		t.Fatalf("version 0: %v", err)
-	}
-	if _, err := ReadMagicVersion(bytes.NewReader([]byte{'R', 'D', 'S', Version + 1})); !errors.Is(err, ErrVersion) {
-		t.Fatalf("future version: %v", err)
-	}
-	if _, err := ReadMagicVersion(bytes.NewReader([]byte("GET "))); !errors.Is(err, ErrBadMagic) {
+	if err := ReadMagic(bytes.NewReader([]byte("GET "))); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("foreign protocol: %v", err)
 	}
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	for _, h := range []Hello{{}, {Engine: "2d"}, {Engine: "fasttrack", BatchSize: 256}} {
+	for _, h := range []Hello{{}, {Engine: "2d"}, {Engine: "fasttrack", BatchSize: 256},
+		{Engine: "vc", BatchSize: 32, Token: 1<<63 + 5, Caps: CapCompress | CapTenant, RouteKey: 9, Auth: "acme:k"}} {
 		got, err := DecodeHello(EncodeHello(h))
 		if err != nil {
 			t.Fatalf("%+v: %v", h, err)
@@ -168,7 +160,7 @@ func TestHelloRoundTrip(t *testing.T) {
 
 func TestWelcomeReportRoundTrip(t *testing.T) {
 	w, err := DecodeWelcome(EncodeWelcome(Welcome{Session: 42}))
-	if err != nil || w.Session != 42 {
+	if err != nil || w != (Welcome{Session: 42}) {
 		t.Fatalf("welcome: %+v err=%v", w, err)
 	}
 	flags, body, err := DecodeReport(EncodeReport(FlagPartial, []byte(`{"x":1}`)))
@@ -177,37 +169,14 @@ func TestWelcomeReportRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHelloV2RoundTrip(t *testing.T) {
-	for _, h := range []Hello{{}, {Engine: "2d", Token: 7}, {Engine: "fasttrack", BatchSize: 256, Token: 1<<63 + 5}} {
-		got, err := DecodeHelloV2(EncodeHelloV2(h))
-		if err != nil {
-			t.Fatalf("%+v: %v", h, err)
-		}
-		if got != h {
-			t.Fatalf("round trip %+v -> %+v", h, got)
-		}
-	}
-	// The v2 payload is the v1 payload plus a token: a v1 decoder must
-	// still read the common prefix, and a v2 decoder must reject a bare
-	// v1 payload as truncated.
-	h := Hello{Engine: "vc", BatchSize: 32, Token: 99}
-	v1, err := DecodeHello(EncodeHelloV2(h))
-	if err != nil || v1.Engine != "vc" || v1.BatchSize != 32 || v1.Token != 0 {
-		t.Fatalf("v1 view of v2 hello: %+v err=%v", v1, err)
-	}
-	if _, err := DecodeHelloV2(EncodeHello(h)); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("v2 decode of v1 hello: %v, want ErrTruncated", err)
-	}
-}
-
-func TestWelcomeV2AckRoundTrip(t *testing.T) {
-	w := Welcome{Session: 12, Token: 0xfeedface, NextSeq: 4097}
-	got, err := DecodeWelcomeV2(EncodeWelcomeV2(w))
+func TestWelcomeAckRoundTrip(t *testing.T) {
+	w := Welcome{Session: 12, Token: 0xfeedface, NextSeq: 4097, Caps: CapCompress}
+	got, err := DecodeWelcome(EncodeWelcome(w))
 	if err != nil || got != w {
-		t.Fatalf("welcome v2: %+v err=%v", got, err)
+		t.Fatalf("welcome: %+v err=%v", got, err)
 	}
-	if _, err := DecodeWelcomeV2([]byte{1}); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("truncated welcome v2: %v", err)
+	if _, err := DecodeWelcome([]byte{1}); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("truncated welcome: %v", err)
 	}
 	seq, err := DecodeAck(EncodeAck(1 << 40))
 	if err != nil || seq != 1<<40 {
@@ -244,7 +213,7 @@ func TestEventsSeqRoundTrip(t *testing.T) {
 
 func TestScratchReuse(t *testing.T) {
 	var buf bytes.Buffer
-	payload := EncodeEvents(nil, sampleEvents())
+	payload := EncodeEventsSeq(nil, 1, sampleEvents())
 	for i := 0; i < 3; i++ {
 		if err := WriteFrame(&buf, FrameEvents, payload); err != nil {
 			t.Fatal(err)

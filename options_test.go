@@ -54,59 +54,6 @@ func corpusPrograms(t *testing.T) map[string]string {
 	return srcs
 }
 
-// TestOptionsMatchLegacyOnWorkloads: Detect with WithEngine produces a
-// byte-identical report to the deprecated DetectWith, for every engine
-// over a sweep of random fork-join programs.
-func TestOptionsMatchLegacyOnWorkloads(t *testing.T) {
-	engines := []Engine{Engine2D, EngineVC, EngineFastTrack, EngineNaive}
-	for seed := int64(0); seed < 25; seed++ {
-		w := workload.ForkJoin{Seed: seed, Ops: 60, MaxDepth: 5,
-			Mix: workload.Mix{Locs: 5, ReadFrac: 0.55}}
-		for _, e := range engines {
-			legacy, errL := DetectWith(e, w.Program())
-			opt, errO := Detect(w.Program(), WithEngine(e))
-			if (errL == nil) != (errO == nil) {
-				t.Fatalf("seed %d engine %v: legacy err %v, options err %v", seed, e, errL, errO)
-			}
-			if errL != nil {
-				continue
-			}
-			if l, o := reportJSONString(t, legacy), reportJSONString(t, opt); l != o {
-				t.Fatalf("seed %d engine %v: reports diverge\nlegacy: %s\noptions: %s", seed, e, l, o)
-			}
-		}
-	}
-}
-
-// TestDetectSourceMatchesDetectProgram: the one-value DetectSource and
-// the deprecated three-value DetectProgram agree on the whole corpus,
-// including the location-name resolver now carried by the report.
-func TestDetectSourceMatchesDetectProgram(t *testing.T) {
-	for name, src := range corpusPrograms(t) {
-		for _, e := range []Engine{Engine2D, EngineVC} {
-			legacy, locName, errL := DetectProgram(e, strings.NewReader(src))
-			opt, errO := DetectSource(strings.NewReader(src), WithEngine(e))
-			if (errL == nil) != (errO == nil) {
-				t.Fatalf("%s/%v: legacy err %v, options err %v", name, e, errL, errO)
-			}
-			if errL != nil {
-				continue
-			}
-			if l, o := reportJSONString(t, legacy), reportJSONString(t, opt); l != o {
-				t.Fatalf("%s/%v: reports diverge\nlegacy: %s\noptions: %s", name, e, l, o)
-			}
-			if opt.AddrName == nil {
-				t.Fatalf("%s/%v: DetectSource left AddrName nil", name, e)
-			}
-			for _, r := range opt.Races {
-				if got, want := opt.AddrName(r.Loc), locName(r.Loc); got != want {
-					t.Fatalf("%s/%v: AddrName(%v) = %q, resolver says %q", name, e, r.Loc, got, want)
-				}
-			}
-		}
-	}
-}
-
 // TestWithBatchSizeInvariant: batching is a transport detail — verdicts
 // and every report field except the batch counters are unchanged.
 func TestWithBatchSizeInvariant(t *testing.T) {

@@ -35,7 +35,7 @@ func TestDetectFigure2(t *testing.T) {
 
 func TestAllEnginesAgreeOnFigure2(t *testing.T) {
 	for _, e := range []Engine{Engine2D, EngineVC, EngineFastTrack} {
-		rep, err := DetectWith(e, figure2)
+		rep, err := Detect(figure2, WithEngine(e))
 		if err != nil {
 			t.Fatalf("%v: %v", e, err)
 		}
@@ -142,20 +142,23 @@ fork c { join a }
 write r
 join c
 `
-	rep, locName, err := DetectProgram(Engine2D, strings.NewReader(src))
+	rep, err := DetectSource(strings.NewReader(src), WithEngine(Engine2D))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Racy() {
 		t.Fatal("program race missed")
 	}
-	if locName(rep.Races[0].Loc) != "r" {
-		t.Fatalf("race location = %q", locName(rep.Races[0].Loc))
+	if rep.AddrName == nil {
+		t.Fatal("DetectSource left AddrName nil")
+	}
+	if name := rep.AddrName(rep.Races[0].Loc); name != "r" {
+		t.Fatalf("race location = %q", name)
 	}
 }
 
 func TestDetectProgramParseError(t *testing.T) {
-	if _, _, err := DetectProgram(Engine2D, strings.NewReader("fork {")); err == nil {
+	if _, err := DetectSource(strings.NewReader("fork {")); err == nil {
 		t.Fatal("parse error swallowed")
 	}
 }
@@ -255,7 +258,7 @@ func TestRunParallel(t *testing.T) {
 }
 
 func TestEngineNaiveOnFigure2(t *testing.T) {
-	rep, err := DetectWith(EngineNaive, figure2)
+	rep, err := Detect(figure2, WithEngine(EngineNaive))
 	if err != nil {
 		t.Fatal(err)
 	}

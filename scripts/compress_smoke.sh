@@ -1,17 +1,14 @@
 #!/usr/bin/env bash
-# compress-smoke: end-to-end check of v3 wire compression.
+# compress-smoke: end-to-end check of wire compression.
 #
 # Builds raced and race2d under the Go race detector and asserts:
 #   1. compressed parity: with compression negotiated (the default),
 #      remote verdicts for every corpus program are byte-identical to
 #      the local run in both -json and -stats modes, and /metrics
 #      proves block frames actually flowed and saved bytes;
-#   2. downgrade parity: a v2-capped server (-max-version 2) refuses
-#      the v3 hello, the client downgrades and verdicts still match,
-#      with zero block frames on the wire;
-#   3. opt-out parity: -no-compress keeps a v3 session on plain event
+#   2. opt-out parity: -no-compress keeps a session on plain event
 #      frames, verdicts identical, zero block frames;
-#   4. chaos parity: compressed blocks ride the fault-injecting
+#   3. chaos parity: compressed blocks ride the fault-injecting
 #      transport (-chaos all) to byte-identical verdicts, and blocks
 #      are still what crossed the wire.
 set -euo pipefail
@@ -67,25 +64,8 @@ fi
 echo "compress-smoke: compression ok: $(metric raced_wire_blocks_total "$maddr") block(s), $raw raw -> $comp wire bytes (ratio $(metric raced_compress_ratio "$maddr"))"
 stop_raced
 
-# 2. Version negotiation: a v2-capped server refuses the v3 hello with
-#    the documented wire error; the client downgrades transparently and
-#    the verdict still matches, over plain (uncompressed) frames.
-start_raced v2cap -addr 127.0.0.1:0 -metrics 127.0.0.1:0 -max-version 2 -v
-maddr=$(metrics_addr v2cap)
-for f in cmd/race2d/testdata/figure2.fj cmd/race2d/testdata/pipeline3x4.fj; do
-	assert_parity "downgrade $f" -json "$f"
-done
-assert_blocks none "$maddr" "v2-capped server"
-refusals=$(metric raced_handshake_refusals_total "$maddr")
-if [ -z "$refusals" ] || [ "$refusals" -eq 0 ]; then
-	echo "compress-smoke: v2-capped server never refused a v3 hello (raced_handshake_refusals_total=${refusals:-?})" >&2
-	exit 1
-fi
-echo "compress-smoke: downgrade ok ($refusals v3 hello(s) refused, sessions completed at v2)"
-stop_raced
-
-# 3. Client opt-out: -no-compress on a v3 session stays on plain event
-#    frames with an identical verdict.
+# 2. Client opt-out: -no-compress keeps a session on plain event frames
+#    with an identical verdict.
 start_raced plain -addr 127.0.0.1:0 -metrics 127.0.0.1:0 -v
 maddr=$(metrics_addr plain)
 for f in cmd/race2d/testdata/figure2.fj cmd/race2d/testdata/pipeline3x4.fj; do
@@ -95,7 +75,7 @@ assert_blocks none "$maddr" "-no-compress client"
 echo "compress-smoke: -no-compress opt-out ok"
 stop_raced
 
-# 4. Chaos parity with compression on: every corpus program through a
+# 3. Chaos parity with compression on: every corpus program through a
 #    deliberately faulty transport, in compressed blocks, must still
 #    produce byte-identical output (resume replays whole blocks, so
 #    block boundaries are where fault recovery restarts).
