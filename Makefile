@@ -61,13 +61,15 @@ bench-json:
 
 # Mirrors the CI bench-smoke job: reduced sweeps, no JSON artifact,
 # failing on verdict disagreement, accounting violations, steady-state
-# allocations in the 2D hot path, or the e17 bandwidth gate (compressed
-# pipeline wire bytes/event over budget).
+# allocations in the 2D hot path, the e17 bandwidth gate (compressed
+# pipeline wire bytes/event over budget) or the e14 report-size gate
+# (binary verdict bytes/event over budget).
 bench-smoke:
 	$(GO) run ./cmd/bench2d -e bench -quick -parallel 2 -json '' -checkallocs
 	$(GO) run ./cmd/bench2d -e all -quick
 	$(GO) run ./cmd/bench2d -e 16 -quick -checkallocs -json ''
 	$(GO) run ./cmd/bench2d -e 17 -quick -json ''
+	$(GO) run ./cmd/bench2d -e 14 -quick -json ''
 
 # Mirrors the CI perfbench-smoke job: every end-to-end benchmark
 # workload at a tiny size, untraced and traced; fails unless each run
@@ -132,11 +134,12 @@ fuzz:
 	$(GO) test -fuzz=FuzzResume -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzDecodeRepl -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzDecodeRecord -fuzztime=30s ./internal/store
+	$(GO) test -fuzz=FuzzDecodeReport -fuzztime=30s .
 
 # Mirrors the CI fuzz-smoke job: seed corpora, then a short fuzz budget
 # per target.
 fuzz-smoke:
-	$(GO) test -run 'Fuzz' ./internal/prog ./internal/fj ./internal/wire ./internal/store
+	$(GO) test -run 'Fuzz' . ./internal/prog ./internal/fj ./internal/wire ./internal/store
 	$(MAKE) fuzz
 
 # Diff the exported API of the root package and the client package

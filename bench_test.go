@@ -13,6 +13,7 @@
 package race2d
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -386,4 +387,61 @@ func BenchmarkRecognizeLattice(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkReportCodec prices one verdict's encodings on the E14 serve
+// trace (fork-join, 64 locations, 48,044 events, 3,844 races): the
+// binary body raced sends, stores and replicates, its decode, and the
+// JSON rendered at the edges, with encoding/json's round trip for scale.
+func BenchmarkReportCodec(b *testing.B) {
+	c := workload.ForkJoin{Seed: 41, Ops: 60000, MaxDepth: 8,
+		Mix: workload.Mix{Locs: 64, ReadFrac: 0.6}}
+	var tr fj.Trace
+	if _, err := c.Run(&tr); err != nil {
+		b.Fatal(err)
+	}
+	d := NewEngineSink(Engine2D)
+	tr.Replay(d)
+	rep := d.Report()
+	body, _ := rep.AppendBinary(nil)
+	js, _ := rep.MarshalJSON()
+	b.Logf("%d events, %d races: binary %d B (%.2f B/event), JSON %d B",
+		len(tr.Events), rep.Count, len(body), float64(len(body))/float64(len(tr.Events)), len(js))
+	b.Run("AppendBinary", func(b *testing.B) {
+		b.ReportAllocs()
+		buf := make([]byte, 0, len(body))
+		for i := 0; i < b.N; i++ {
+			buf, _ = rep.AppendBinary(buf[:0])
+		}
+	})
+	b.Run("UnmarshalBinary", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var back Report
+			if err := back.UnmarshalBinary(body); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("MarshalJSON", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rep.MarshalJSON()
+		}
+	})
+	b.Run("json.Marshal", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			json.Marshal(rep)
+		}
+	})
+	b.Run("json.Unmarshal", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var back Report
+			if err := json.Unmarshal(js, &back); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -2,7 +2,6 @@ package client
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net"
@@ -22,11 +21,11 @@ type Fetched struct {
 	// Partial reports whether the verdict covers only a drained prefix
 	// of the stream (wire.FlagPartial).
 	Partial bool
-	// JSON is the report's exact marshaled bytes as the server persisted
-	// them — byte-identical to what the original session was acked.
+	// JSON is the report rendered client-side from the binary body the
+	// server persisted (Report.MarshalJSON, hex locations) — the bytes
+	// json.Marshal makes of the verdict the original session was acked.
 	JSON []byte
-	// Report is JSON unmarshaled, for callers that want the verdict
-	// rather than the bytes.
+	// Report is the decoded verdict.
 	Report *race2d.Report
 }
 
@@ -136,13 +135,17 @@ func fetchOnce(addr string, token uint64, norm options) (*Fetched, error) {
 			return nil, fmt.Errorf("client: fetch: %w", err)
 		}
 		rep := &race2d.Report{}
-		if err := json.Unmarshal(body, rep); err != nil {
+		if err := rep.UnmarshalBinary(body); err != nil {
+			return nil, fmt.Errorf("client: fetch: report: %w", err)
+		}
+		js, err := rep.MarshalJSON()
+		if err != nil {
 			return nil, fmt.Errorf("client: fetch: report: %w", err)
 		}
 		return &Fetched{
 			Session: welcome.Session,
 			Partial: flags&wire.FlagPartial != 0,
-			JSON:    append([]byte(nil), body...),
+			JSON:    js,
 			Report:  rep,
 		}, nil
 	case wire.FrameError:

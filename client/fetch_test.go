@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"repro/internal/wire"
+
+	race2d "repro"
 )
 
 // startScripted serves one scripted handler per accepted connection
@@ -55,11 +57,14 @@ func refuse(c net.Conn, text string) {
 	wire.WriteFrame(c, wire.FrameError, []byte(wire.HandshakeRefusedPrefix+text))
 }
 
-var fetchTestReport = []byte(`{"engine":"2d","tasks":1,"locations":0,"race_count":0,"races":[]}`)
+// fetchTestReport is the JSON a fetch renders from the binary body
+// serveReport sends.
+var fetchTestReport = []byte(`{"engine":"2d","tasks":1,"locations":0,"race_count":0,"races":[],"memory_bytes":0,"stats":{}}`)
 
 func serveReport(c net.Conn) {
+	body, _ := (&race2d.Report{Engine: race2d.Engine2D, Tasks: 1}).AppendBinary(nil)
 	wire.WriteFrame(c, wire.FrameWelcome, wire.EncodeWelcome(wire.Welcome{Session: 1}))
-	wire.WriteFrame(c, wire.FrameReport, wire.EncodeReport(0, fetchTestReport))
+	wire.WriteFrame(c, wire.FrameReport, wire.EncodeReport(0, body))
 }
 
 // TestFetchRotatesToFallbackOnUnknownToken: the primary endpoint

@@ -348,7 +348,10 @@ func eBench(quick bool, workers int, jsonPath string, checkAllocs bool) int {
 	// along in the same JSON document, so the performance trajectory
 	// covers ingestion and the service too.
 	ingest := e13(quick)
-	serve := e14(quick)
+	serve, code := e14(quick)
+	if code != 0 {
+		return code
+	}
 
 	if jsonPath != "" {
 		report := benchReport{

@@ -123,7 +123,10 @@ func run(args []string) int {
 		e13(*quick)
 	}
 	if run("14") {
-		cells := e14(*quick)
+		cells, code := e14(*quick)
+		if code != 0 {
+			return code
+		}
 		// Standalone -e 14 lands its cells in the JSON document in
 		// place, so the service trajectory updates without a full -e
 		// bench run.

@@ -8,6 +8,10 @@
 // Verdict parity with an in-process replay is asserted on every session
 // of every cell: the service must be an operationally different but
 // observationally identical way to run the detector.
+//
+// e14 is also the report-size gate: it fails when the verdict's binary
+// body — the bytes raced sends, stores and replicates — spends more
+// than maxReportBytesPerEvent per streamed event.
 package main
 
 import (
@@ -25,6 +29,10 @@ import (
 
 	race2d "repro"
 )
+
+// maxReportBytesPerEvent is the report-size gate, next to e17's event
+// gate of the same size (the JSON verdict spent ~7.9 B/event).
+const maxReportBytesPerEvent = 1.0
 
 // serveCell is one measured K-sessions point, serialized into
 // BENCH_race2d.json under "serve".
@@ -45,6 +53,11 @@ type serveCell struct {
 	MaxDepth  uint64 `json:"max_queue_depth"`
 
 	Racy bool `json:"racy"`
+
+	// The verdict's binary body and its JSON rendering.
+	ReportBytes         int     `json:"report_bytes"`
+	ReportJSONBytes     int     `json:"report_json_bytes"`
+	ReportBytesPerEvent float64 `json:"report_bytes_per_event"`
 }
 
 // serveTrace records the deterministic workload every session streams.
@@ -134,6 +147,11 @@ func serveCells(quick bool) []serveCell {
 	d := race2d.NewEngineSink(race2d.Engine2D)
 	tr.Replay(d)
 	baseline := d.Report()
+	body, _ := baseline.AppendBinary(nil) // never fails
+	js, err := baseline.MarshalJSON()
+	if err != nil {
+		panic(fmt.Sprintf("bench: serve: %v", err))
+	}
 
 	var cells []serveCell
 	for _, k := range ks {
@@ -159,14 +177,19 @@ func serveCells(quick bool) []serveCell {
 			Stalls:           st.Stalls,
 			MaxDepth:         st.MaxDepth,
 			Racy:             baseline.Count > 0,
+
+			ReportBytes:         len(body),
+			ReportJSONBytes:     len(js),
+			ReportBytesPerEvent: float64(len(body)) / float64(len(tr.Events)),
 		})
 	}
 	return cells
 }
 
 // e14 prints the streaming-service table (EXPERIMENTS E14) and returns
-// the cells for BENCH_race2d.json.
-func e14(quick bool) []serveCell {
+// the cells for BENCH_race2d.json, with exit code 1 when the report-size
+// gate fails.
+func e14(quick bool) ([]serveCell, int) {
 	cells := serveCells(quick)
 	w := table("\nE14: streaming detection service — K concurrent sessions against one raced server")
 	fmt.Fprintln(w, "sessions\tevents/session\twall ms\tMevents/s\tsession ms p50\tsession ms max\tframes\twire MB\tstalls\tracy")
@@ -177,7 +200,15 @@ func e14(quick bool) []serveCell {
 			float64(c.WireBytes)/(1<<20), c.Stalls, c.Racy)
 	}
 	w.Flush()
-	return cells
+	c := cells[0]
+	fmt.Printf("verdict: %d B binary (%.2f B/event, gate %.2f), %d B as JSON\n",
+		c.ReportBytes, c.ReportBytesPerEvent, maxReportBytesPerEvent, c.ReportJSONBytes)
+	if c.ReportBytesPerEvent > maxReportBytesPerEvent {
+		fmt.Fprintf(os.Stderr, "bench2d: e14 report-size gate: the verdict spends %.2f bytes/event, budget %.2f\n",
+			c.ReportBytesPerEvent, maxReportBytesPerEvent)
+		return cells, 1
+	}
+	return cells, 0
 }
 
 // mergeServe lands freshly measured serve cells in jsonPath without

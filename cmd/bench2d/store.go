@@ -1,6 +1,6 @@
 // The E19 experiment: persist/retrieve throughput of the durable
-// report store (internal/store). One realistic finished-report JSON
-// body is written N times (distinct tokens) and read back, against
+// report store (internal/store). One realistic finished-report body
+// (the binary encoding raced persists) is written N times (distinct tokens) and read back, against
 // three backends: the in-memory store, the hash-chained log with fsync
 // after every Put (the raced default), and the log with -no-sync.
 //
@@ -44,9 +44,9 @@ type storeCell struct {
 	Segments   int   `json:"segments"`
 }
 
-// storeBody renders one realistic report body: the JSON of a finished
-// detection over a racy fork-join workload, the same bytes a raced
-// session persists before acking Finish.
+// storeBody renders one realistic report body: the binary encoding of
+// a finished detection over a racy fork-join workload, the same bytes
+// a raced session persists before acking Finish.
 func storeBody() []byte {
 	d := race2d.NewEngineSink(race2d.Engine2D)
 	c := workload.ForkJoin{Seed: 19, Ops: 4000, MaxDepth: 6,
@@ -54,11 +54,8 @@ func storeBody() []byte {
 	if _, err := c.Run(d); err != nil {
 		panic(fmt.Sprintf("bench: store workload: %v", err))
 	}
-	var buf bytes.Buffer
-	if err := d.Report().WriteJSON(&buf, nil); err != nil {
-		panic(fmt.Sprintf("bench: store body: %v", err))
-	}
-	return buf.Bytes()
+	body, _ := d.Report().AppendBinary(nil) // never fails
+	return body
 }
 
 // runStoreCell drives one backend: N puts, 4 read passes with

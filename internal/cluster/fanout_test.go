@@ -10,6 +10,8 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/server"
 	"repro/internal/store"
+
+	race2d "repro"
 )
 
 // waitUp blocks until the gateway's prober has marked n backends Up.
@@ -49,8 +51,9 @@ func TestGatewayFetchFanOut(t *testing.T) {
 	if backends[0].addr == home {
 		holder = 1
 	}
-	rec := store.Record{Token: token, Session: 77,
-		JSON: []byte(`{"engine":"2d","tasks":1,"locations":0,"race_count":0,"races":[]}`)}
+	planted := &race2d.Report{Engine: race2d.Engine2D, Tasks: 1}
+	body, _ := planted.AppendBinary(nil)
+	rec := store.Record{Token: token, Session: 77, JSON: body}
 	if err := stores[holder].Put(rec); err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +62,8 @@ func TestGatewayFetchFanOut(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fetch through gateway: %v", err)
 	}
-	if !bytes.Equal(f.JSON, rec.JSON) {
-		t.Errorf("fanned-out report differs:\n got %s\nwant %s", f.JSON, rec.JSON)
+	if want, _ := planted.MarshalJSON(); !bytes.Equal(f.JSON, want) {
+		t.Errorf("fanned-out report differs:\n got %s\nwant %s", f.JSON, want)
 	}
 	st := gw.Stats()
 	if st.FetchFanouts != 1 || st.FetchFanoutHits != 1 {

@@ -2,7 +2,6 @@ package server_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -417,7 +416,7 @@ func TestResumeSupersedesStaleConnection(t *testing.T) {
 		t.Fatalf("report flags=%d err=%v", flags, err)
 	}
 	rep := &race2d.Report{}
-	if err := json.Unmarshal(body, rep); err != nil {
+	if err := rep.UnmarshalBinary(body); err != nil {
 		t.Fatal(err)
 	}
 	requireParity(t, rep, tr)

@@ -131,7 +131,7 @@ func TestVersionRefusalOnWire(t *testing.T) {
 	t.Cleanup(func() { gw.Close() })
 
 	for _, front := range []struct{ name, addr string }{{"raced", backend}, {"racedctl", ln.Addr().String()}} {
-		for _, version := range []byte{1, 2, 99} {
+		for _, version := range []byte{1, 2, 3, 99} {
 			t.Run(fmt.Sprintf("%s/v%d", front.name, version), func(t *testing.T) {
 				conn, err := net.DialTimeout("tcp", front.addr, 5*time.Second)
 				if err != nil {

@@ -1282,8 +1282,9 @@ func (s *Server) handleAdminTenants(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleAdminReports lists a tenant's persisted reports
-// (GET /admin/reports?tenant=X), or exports one report's stored JSON
-// verbatim (&token=<hex> — the bytes a resuming client would receive).
+// (GET /admin/reports?tenant=X), or exports one report as JSON
+// (&token=<hex>), rendered from the stored binary body — the same bytes
+// client.Fetch renders as Fetched.JSON.
 func (s *Server) handleAdminReports(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", "GET")
@@ -1304,8 +1305,18 @@ func (s *Server) handleAdminReports(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "admin: report not found", http.StatusNotFound)
 			return
 		}
+		var rep race2d.Report
+		err = rep.UnmarshalBinary(rec.JSON)
+		var body []byte
+		if err == nil {
+			body, err = rep.MarshalJSON()
+		}
+		if err != nil {
+			http.Error(w, "admin: rendering report: "+err.Error(), http.StatusInternalServerError)
+			return
+		}
 		w.Header().Set("Content-Type", "application/json")
-		w.Write(rec.JSON)
+		w.Write(body)
 		return
 	}
 	recs, err := s.store.List()
@@ -1623,16 +1634,11 @@ func (sess *session) finish(conn net.Conn, nextSeq uint64, finished bool, readEr
 	<-sess.drained
 
 	rep := sess.detector.Report()
-	body, err := json.Marshal(rep)
-	if err != nil {
-		srv.logf("session %d: marshal report: %v", sess.id, err)
-		sess.srv.retire(sess)
-		return
-	}
 	var flags uint64
 	if !finished {
 		flags |= wire.FlagPartial
 	}
+	body, _ := rep.AppendBinary(nil) // never fails
 	payload := wire.EncodeReport(flags, body)
 
 	// Persist the verdict of a cleanly finished session before

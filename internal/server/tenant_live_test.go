@@ -18,6 +18,8 @@ import (
 	"repro/internal/server"
 	"repro/internal/store"
 	"repro/internal/wire"
+
+	race2d "repro"
 )
 
 // metricsBody fetches /metrics from a handler-backed test server.
@@ -280,8 +282,10 @@ func TestStoreReplicaFallbackServing(t *testing.T) {
 	dir := t.TempDir()
 	// Seed a replica the way a prior replication session would have
 	// left it on disk.
-	rec := store.Record{Token: 0xbeef, Session: 9, Tenant: "",
-		JSON: []byte(`{"engine":"2d","tasks":1,"locations":0,"race_count":0,"races":[]}`)}
+	planted := &race2d.Report{Engine: race2d.Engine2D, Tasks: 1, Count: 1,
+		Races: []race2d.Race{{Loc: 0x40, Current: 2, Prior: 1}}}
+	body, _ := planted.AppendBinary(nil)
+	rec := store.Record{Token: 0xbeef, Session: 9, Tenant: "", JSON: body}
 	lg, err := store.OpenLog(store.LogConfig{Dir: filepath.Join(dir, "feedc0de"), NoSync: true})
 	if err != nil {
 		t.Fatal(err)
@@ -302,8 +306,8 @@ func TestStoreReplicaFallbackServing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fetch of replica-only token: %v", err)
 	}
-	if !bytes.Equal(f.JSON, rec.JSON) {
-		t.Errorf("replica-served report differs: %s != %s", f.JSON, rec.JSON)
+	if want, _ := planted.MarshalJSON(); !bytes.Equal(f.JSON, want) {
+		t.Errorf("replica-served report differs: %s != %s", f.JSON, want)
 	}
 
 	// Replication handshake with the right key: welcomed at the

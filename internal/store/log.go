@@ -17,7 +17,8 @@ import (
 
 // Segment layout. A segment file opens with a fixed header:
 //
-//	8 bytes   magic "R2DSEG01"
+//	8 bytes   magic "R2DSEG02" — "R2DSEG" plus the two-digit format
+//	          version
 //	8 bytes   base index (little endian) — the chain-wide index of the
 //	          segment's first record
 //	32 bytes  carry-in hash — the chain hash the segment starts from
@@ -30,8 +31,32 @@ import (
 // for where the retained chain resumes. Segments must stay contiguous
 // (seg-N is only ever followed by seg-N+1); a missing middle segment is
 // tampering, a missing prefix is retention.
+//
+// Format 02 holds report bodies in the race2d.Report binary encoding;
+// format 01 held them as JSON. A log in any format but 02 is refused at
+// open with a *FormatError, never scanned, truncated or recovered.
 
-var segMagic = [8]byte{'R', '2', 'D', 'S', 'E', 'G', '0', '1'}
+var segMagic = [8]byte{'R', '2', 'D', 'S', 'E', 'G', '0', '2'}
+
+// ErrFormat is the target of errors.Is for every *FormatError.
+var ErrFormat = errors.New("store: unsupported segment format")
+
+// FormatError reports a segment written in a format version this build
+// does not read. Opening such a log fails; the files are left as they
+// are.
+type FormatError struct {
+	// Segment is the base name of the segment file.
+	Segment string
+	// Version is the format version its magic announces ("01").
+	Version string
+}
+
+func (e *FormatError) Error() string {
+	return fmt.Sprintf("store: %s is segment format %s, this build reads only format %s (old logs are not converted)",
+		e.Segment, e.Version, segMagic[6:])
+}
+
+func (e *FormatError) Unwrap() error { return ErrFormat }
 
 const segHeaderSize = 8 + 8 + HashSize
 
@@ -86,8 +111,8 @@ type entry struct {
 	off     int64
 	n       int
 	index   uint64 // chain-wide record index
-	meta    Record // JSON nil; metadata only
-	jsonLen int
+	meta    Record // body (JSON field) nil; metadata only
+	bodyLen int
 }
 
 // Log is the durable Store: hash-chained append-only segment files plus
@@ -121,7 +146,9 @@ type Log struct {
 // tampered, reports indexed before the damage stay retrievable,
 // everything at or past it is refused with the *TamperError, and
 // appends are refused outright (the chain they would extend is not
-// trustworthy). Only real I/O errors fail the open.
+// trustworthy). Only real I/O errors and a log written in another
+// segment format version (a *FormatError, errors.Is ErrFormat) fail
+// the open; an old-format log is left byte for byte as it was.
 func OpenLog(cfg LogConfig) (*Log, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Dir == "" {
@@ -255,6 +282,11 @@ func (l *Log) scan(build bool) error {
 		if err != nil {
 			return fmt.Errorf("store: %w", err)
 		}
+		if len(data) >= 8 && string(data[:6]) == string(segMagic[:6]) && [8]byte(data[:8]) != segMagic {
+			// Another format version of this store: refuse before
+			// anything below may truncate or index it.
+			return &FormatError{Segment: filepath.Base(seg.path), Version: string(data[6:8])}
+		}
 		if len(data) < segHeaderSize {
 			return fail(seg, 0, chainPos, fmt.Errorf("%w: short segment header", ErrTruncated))
 		}
@@ -319,7 +351,7 @@ func (l *Log) scan(build bool) error {
 					meta.JSON = nil
 					l.index[rec.Token] = entry{
 						seg: seg.seq, off: off, n: n, index: chainPos,
-						meta: meta, jsonLen: len(rec.JSON),
+						meta: meta, bodyLen: len(rec.JSON),
 					}
 				}
 				if rec.Unix > seg.maxUnix {
@@ -469,7 +501,7 @@ func (l *Log) Put(rec Record) error {
 	meta.JSON = nil
 	l.index[rec.Token] = entry{
 		seg: seg.seq, off: segHeaderSize + seg.bytes, n: recLen,
-		index: l.next, meta: meta, jsonLen: len(rec.JSON),
+		index: l.next, meta: meta, bodyLen: len(rec.JSON),
 	}
 	if rec.Unix > seg.maxUnix {
 		seg.maxUnix = rec.Unix
@@ -679,7 +711,7 @@ func (l *Log) ApplyFramed(index uint64, framed []byte) error {
 		meta.JSON = nil
 		l.index[rec.Token] = entry{
 			seg: seg.seq, off: segHeaderSize + seg.bytes, n: n,
-			index: l.next, meta: meta, jsonLen: len(rec.JSON),
+			index: l.next, meta: meta, bodyLen: len(rec.JSON),
 		}
 		if rec.Unix > seg.maxUnix {
 			seg.maxUnix = rec.Unix
@@ -848,7 +880,7 @@ func (l *Log) TenantBytes(tenant string) int64 {
 	var b int64
 	for _, e := range l.index {
 		if e.meta.Tenant == tenant && !expired(e.meta.Unix, l.cfg.Retention) {
-			b += int64(e.jsonLen)
+			b += int64(e.bodyLen)
 		}
 	}
 	return b
@@ -876,7 +908,7 @@ func (l *Log) Stats() Stats {
 		}
 		st.Records++
 		st.Bytes += int64(e.n)
-		st.TenantBytes[e.meta.Tenant] += int64(e.jsonLen)
+		st.TenantBytes[e.meta.Tenant] += int64(e.bodyLen)
 		st.TenantRecords[e.meta.Tenant]++
 	}
 	return st

@@ -89,8 +89,11 @@ type Record struct {
 	// Tenant names the owning tenant ("" when the server runs without
 	// tenant auth). Retrieval requires the same tenant.
 	Tenant string
-	// JSON is the marshaled race2d.Report — the exact bytes the server
-	// acked, re-served verbatim so retrieval is byte-identical.
+	// JSON is the report body: the verdict in the race2d.Report binary
+	// encoding (AppendBinary), re-served verbatim so retrieval is
+	// byte-identical. The store treats it as opaque bytes; JSON is
+	// rendered from it only at the edges. (The field predates the
+	// binary encoding and keeps its name for existing callers.)
 	JSON []byte
 }
 

@@ -100,7 +100,7 @@ type Store interface {
 	// ErrNotFound (absent or expired), or a *TamperError when the token
 	// falls at or past the first damaged record of a tampered log.
 	Get(token uint64) (Record, error)
-	// List returns the live records' metadata (JSON omitted), oldest
+	// List returns the live records' metadata (body omitted), oldest
 	// first.
 	List() ([]Record, error)
 	// Verify re-checks the whole store's integrity and returns the

@@ -204,7 +204,7 @@ func TestBlockDecodeIntoReusesSlab(t *testing.T) {
 	}
 }
 
-func TestHelloWelcomeV3RoundTrip(t *testing.T) {
+func TestHelloWelcomeRoundTrip(t *testing.T) {
 	h := Hello{Engine: "2d", BatchSize: 128, Token: 0xfeed, Caps: CapCompress | CapTenant, RouteKey: 9, Auth: "acme:s3cret"}
 	full := EncodeHello(h)
 	got, err := DecodeHello(full)
@@ -230,13 +230,13 @@ func TestHelloWelcomeV3RoundTrip(t *testing.T) {
 	}
 }
 
-func TestMagicV3(t *testing.T) {
+func TestMagicV4(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteMagic(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if got := buf.Bytes(); !bytes.Equal(got, []byte("RDS\x03")) {
-		t.Fatalf("WriteMagic = %q, want \"RDS\\x03\"", got)
+	if got := buf.Bytes(); !bytes.Equal(got, []byte("RDS\x04")) {
+		t.Fatalf("WriteMagic = %q, want \"RDS\\x04\"", got)
 	}
 	if err := ReadMagic(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("ReadMagic: %v", err)

@@ -61,9 +61,14 @@
 //
 // # Version and capability table
 //
-//	version  magic      hello payload                      welcome payload
-//	3        "RDS\x03"  engine, batch, resume token,       session, token, next seq,
-//	                    caps, route key, auth credential   granted caps (intersection)
+//	version  magic      hello payload                      welcome payload                 report payload
+//	4        "RDS\x04"  engine, batch, resume token,       session, token, next seq,       flags, binary report
+//	                    caps, route key, auth credential   granted caps (intersection)     (race2d.Report.AppendBinary)
+//
+// Version 4 changed only the Report payload: version 3 carried the
+// verdict as JSON. The handshake is unchanged, but a version 3 peer is
+// refused at the magic with ErrVersion rather than failing later to
+// parse a report it cannot read.
 //
 //	capability   bit     meaning
 //	CapCompress  1<<0    sender may use EventsBlock (compressed) frames
@@ -107,7 +112,7 @@ import (
 )
 
 // Version is the one protocol version this package speaks.
-const Version = 3
+const Version = 4
 
 // Capability bits. A session's capability set is the intersection
 // of the bits the client offered in Hello and the bits the server
@@ -549,14 +554,16 @@ const (
 )
 
 // EncodeReport renders a report frame payload: uvarint flags + the
-// report's JSON bytes (race2d.Report MarshalJSON form).
-func EncodeReport(flags uint64, reportJSON []byte) []byte {
-	buf := binary.AppendUvarint(nil, flags)
-	return append(buf, reportJSON...)
+// report's binary body (race2d.Report.AppendBinary form).
+func EncodeReport(flags uint64, body []byte) []byte {
+	buf := make([]byte, 0, binary.MaxVarintLen64+len(body))
+	buf = binary.AppendUvarint(buf, flags)
+	return append(buf, body...)
 }
 
-// DecodeReport parses an EncodeReport payload.
-func DecodeReport(payload []byte) (flags uint64, reportJSON []byte, err error) {
+// DecodeReport parses an EncodeReport payload. The body aliases
+// payload.
+func DecodeReport(payload []byte) (flags uint64, body []byte, err error) {
 	flags, k := binary.Uvarint(payload)
 	if k <= 0 {
 		return 0, nil, fmt.Errorf("wire: report: flags: %w", ErrTruncated)

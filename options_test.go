@@ -28,7 +28,7 @@ func reportJSONString(t *testing.T, rep *Report) string {
 
 // corpusPrograms returns the .fj test corpus plus the fuzz seed
 // programs — the differential inputs for API-equivalence checks.
-func corpusPrograms(t *testing.T) map[string]string {
+func corpusPrograms(t testing.TB) map[string]string {
 	t.Helper()
 	srcs := map[string]string{
 		"seed-figure2":  "fork a { read r }\nread r\nfork c { join a }\nwrite r\njoin c\n",

@@ -207,7 +207,7 @@ func TestReportJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"engine": "2d"`, `"race_count": 1`, `"precise": true`, `"0x10"`} {
+	for _, want := range []string{`"engine":"2d"`, `"race_count":1`, `"precise":true`, `"0x10"`} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("JSON missing %q:\n%s", want, data)
 		}
