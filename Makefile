@@ -47,7 +47,7 @@ store-parity:
 # parity gate, and the durable store's differential/tamper gates.
 verify: fmt-check vet build test race stress shard-parity store-parity
 
-# Detector hot-path benchmarks: storage backends (openaddr/map/shadow) ×
+# Detector hot-path benchmarks: storage backends (openaddr/shadow) ×
 # ingestion paths (per-event, batched, steady-state) on the pipeline and
 # spawn-tree workloads. The steady openaddr rows are the allocation-free
 # monitor hot path.
@@ -135,11 +135,12 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeRepl -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzDecodeRecord -fuzztime=30s ./internal/store
 	$(GO) test -fuzz=FuzzDecodeReport -fuzztime=30s .
+	$(GO) test -fuzz=FuzzParseTenantKeys -fuzztime=30s ./internal/cliflags
 
 # Mirrors the CI fuzz-smoke job: seed corpora, then a short fuzz budget
 # per target.
 fuzz-smoke:
-	$(GO) test -run 'Fuzz' . ./internal/prog ./internal/fj ./internal/wire ./internal/store
+	$(GO) test -run 'Fuzz' . ./internal/prog ./internal/fj ./internal/wire ./internal/store ./internal/cliflags
 	$(MAKE) fuzz
 
 # Diff the exported API of the root package and the client package

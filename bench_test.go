@@ -228,14 +228,14 @@ func detectorBenchTrace(b *testing.B, name string) *fj.Trace {
 // workloads.
 //
 //   - replay/…: full event replay into a fresh detector each iteration,
-//     one event at a time — storage=map is the seed detector's path.
+//     one event at a time.
 //   - batch/…: the same replay through the batched ingestion path
 //     (EventBuffer-sized runs into Detector.OnAccessBatch).
 //   - steady/…: replay into an already-warm detector, the
 //     steady-state regime of a long-running monitor; the open-addressing
 //     backend runs allocation-free here (0 allocs/op).
 func BenchmarkDetector(b *testing.B) {
-	storages := []core.Storage{core.StorageOpenAddr, core.StorageMap, core.StorageShadow}
+	storages := []core.Storage{core.StorageOpenAddr, core.StorageShadow}
 	for _, wl := range []string{"pipeline", "spawntree"} {
 		tr := detectorBenchTrace(b, wl)
 		memops := 0

@@ -48,7 +48,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"strings"
 	"sync"
@@ -56,7 +55,6 @@ import (
 	"time"
 
 	"repro/internal/fj"
-	"repro/internal/obs"
 	"repro/internal/wire"
 
 	race2d "repro"
@@ -165,20 +163,28 @@ func (s *Session) Token() uint64 {
 	return s.token
 }
 
+// Stats is a session's counter snapshot: the circuit-breaker surface
+// and what wire compression achieved. No Report carries these.
+type Stats struct {
+	Reconnects       uint64 // connections re-established after a transport fault
+	Resends          uint64 // replay-buffer batches resent after resume
+	HeartbeatsMissed uint64 // dead-peer declarations from heartbeat silence
+
+	Compress wire.BlockStats // compressed event blocks sent
+}
+
 // Stats snapshots the session's fault-tolerance and wire-compression
 // counters.
-func (s *Session) Stats() obs.Stats {
+func (s *Session) Stats() Stats {
 	s.mu.Lock()
-	st := obs.Stats{
+	st := Stats{
 		Reconnects:       s.reconnects,
 		Resends:          s.resends,
 		HeartbeatsMissed: s.heartbeatsMissed,
 	}
 	s.mu.Unlock()
 	s.wmu.Lock()
-	st.WireBlocks = s.enc.Blocks
-	st.WireBytesBlocks = s.enc.WireBytes
-	st.WireBytesRaw = s.enc.RawBytes
+	st.Compress = s.enc.BlockStats
 	s.wmu.Unlock()
 	return st
 }
@@ -254,7 +260,7 @@ func (s *Session) connect() error {
 		s.mu.Unlock()
 
 		if attempt > 0 {
-			s.backoff(attempt)
+			time.Sleep(wire.Backoff(s.opts.BackoffBase, s.opts.BackoffMax, attempt))
 		}
 		conn, err := net.DialTimeout("tcp", addr, s.opts.DialTimeout)
 		if err != nil {
@@ -300,19 +306,6 @@ func (s *Session) terminalErr() error {
 		return s.broken
 	}
 	return s.srvErr
-}
-
-// backoff sleeps the full-jitter exponential delay for a retry attempt.
-func (s *Session) backoff(attempt int) {
-	shift := attempt - 1
-	if shift > 16 {
-		shift = 16
-	}
-	ceil := s.opts.BackoffBase << shift
-	if ceil > s.opts.BackoffMax || ceil <= 0 {
-		ceil = s.opts.BackoffMax
-	}
-	time.Sleep(time.Duration(rand.Int63n(int64(ceil) + 1)))
 }
 
 // handshake performs the hello/welcome exchange on a fresh conn and,

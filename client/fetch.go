@@ -3,7 +3,6 @@ package client
 import (
 	"bufio"
 	"fmt"
-	"math/rand"
 	"net"
 	"strings"
 	"time"
@@ -79,7 +78,7 @@ func Fetch(addr string, token uint64, opts ...Option) (*Fetched, error) {
 			return nil, err
 		}
 		if attempt < norm.MaxAttempts {
-			time.Sleep(fetchBackoff(norm, attempt))
+			time.Sleep(wire.Backoff(norm.BackoffBase, norm.BackoffMax, attempt))
 		}
 	}
 	return nil, lastErr
@@ -173,20 +172,6 @@ func fetchTerminal(err error) bool {
 		}
 	}
 	return false
-}
-
-// fetchBackoff mirrors the streaming session's reconnect backoff: full
-// jitter under an exponential ceiling, uniform(0, min(max, base<<k)).
-func fetchBackoff(o options, attempt int) time.Duration {
-	shift := attempt - 1
-	if shift > 16 {
-		shift = 16
-	}
-	ceil := o.BackoffBase << shift
-	if ceil > o.BackoffMax || ceil <= 0 {
-		ceil = o.BackoffMax
-	}
-	return time.Duration(rand.Int63n(int64(ceil) + 1))
 }
 
 // IsUnknownToken reports whether a Fetch (or Dial resume) error is the

@@ -166,7 +166,7 @@ func TestFetchBackoffCeiling(t *testing.T) {
 			ceil = o.BackoffMax
 		}
 		for trial := 0; trial < 20; trial++ {
-			if d := fetchBackoff(o, attempt); d < 0 || d > ceil {
+			if d := wire.Backoff(o.BackoffBase, o.BackoffMax, attempt); d < 0 || d > ceil {
 				t.Fatalf("attempt %d: backoff %v outside [0, %v]", attempt, d, ceil)
 			}
 		}

@@ -61,7 +61,6 @@ func benchDetectors() []benchDetector {
 	return []benchDetector{
 		{name: "2d", batched: true, fresh: storage(core.StorageOpenAddr)},
 		{name: "2d-unbatched", fresh: storage(core.StorageOpenAddr)},
-		{name: "2d-map", fresh: storage(core.StorageMap)},
 		{name: "2d-shadow", fresh: storage(core.StorageShadow)},
 		{name: "vc", batched: true, fresh: engine(race2d.EngineVC)},
 		{name: "fasttrack", batched: true, fresh: engine(race2d.EngineFastTrack)},

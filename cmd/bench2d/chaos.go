@@ -10,10 +10,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
-	"os"
 	"time"
 
 	"repro/client"
@@ -150,29 +148,4 @@ func e15(quick bool) []chaosCell {
 	}
 	w.Flush()
 	return cells
-}
-
-// mergeChaos lands freshly measured chaos cells in jsonPath without
-// disturbing the rest of the document, so a standalone `-e 15` updates
-// BENCH_race2d.json in place (creating a minimal document when absent).
-func mergeChaos(jsonPath string, cells []chaosCell) error {
-	doc := map[string]any{}
-	if data, err := os.ReadFile(jsonPath); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("bench: %s: %w", jsonPath, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	doc["chaos"] = cells
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s (chaos cells)\n", jsonPath)
-	return nil
 }

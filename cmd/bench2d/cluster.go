@@ -11,10 +11,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
-	"os"
 	"sort"
 	"time"
 
@@ -204,28 +202,4 @@ func e18(quick bool) []clusterCell {
 	}
 	w.Flush()
 	return cells
-}
-
-// mergeCluster lands freshly measured cluster cells in jsonPath without
-// disturbing the rest of the document.
-func mergeCluster(jsonPath string, cells []clusterCell) error {
-	doc := map[string]any{}
-	if data, err := os.ReadFile(jsonPath); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("bench: %s: %w", jsonPath, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	doc["cluster"] = cells
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s (cluster cells)\n", jsonPath)
-	return nil
 }

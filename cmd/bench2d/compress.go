@@ -18,7 +18,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"os"
@@ -26,7 +25,6 @@ import (
 
 	"repro/client"
 	"repro/internal/fj"
-	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/workload"
 
@@ -117,7 +115,7 @@ func spawnTreeTrace(quick bool) *fj.Trace {
 // runCompressCell streams tr through one session, with or without the
 // compress capability, asserts verdict parity against the in-process
 // baseline, and returns the wall time plus the server's accounting.
-func runCompressCell(tr *fj.Trace, compress bool, baseline *race2d.Report) (time.Duration, obs.Stats) {
+func runCompressCell(tr *fj.Trace, compress bool, baseline *race2d.Report) (time.Duration, server.Stats) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		panic(fmt.Sprintf("bench: compress: %v", err))
@@ -152,10 +150,10 @@ func runCompressCell(tr *fj.Trace, compress bool, baseline *race2d.Report) (time
 			baseline.Count, baseline.Stats.MemOps(), baseline.Locations))
 	}
 	st := srv.Stats()
-	if compress && st.WireBlocks == 0 {
+	if compress && st.Compress.Blocks == 0 {
 		panic("bench: compress cell negotiated no blocks")
 	}
-	if !compress && st.WireBlocks != 0 {
+	if !compress && st.Compress.Blocks != 0 {
 		panic("bench: no-compress cell still shipped blocks")
 	}
 	return wall, st
@@ -174,7 +172,7 @@ func compressCells(quick bool) []compressCell {
 			// Best-of-5: the cells are milliseconds long, so on a busy
 			// host the distribution has a long scheduling tail; the
 			// minimum estimates the codec's actual cost.
-			var st obs.Stats
+			var st server.Stats
 			wall := time.Duration(1<<63 - 1)
 			for rep := 0; rep < 5; rep++ {
 				w, s := runCompressCell(tr, compress, baseline)
@@ -185,8 +183,8 @@ func compressCells(quick bool) []compressCell {
 			// The event stream's wire footprint: block payloads when
 			// compressed; otherwise total frame payloads, which the
 			// handshake and finish frames pad by only a few bytes.
-			wire := st.WireBytesBlocks
-			ratio := st.CompressRatio()
+			wire := st.Compress.WireBytes
+			ratio := st.Compress.Ratio()
 			if !compress {
 				wire = st.WireBytes
 				ratio = 1
@@ -231,28 +229,4 @@ func e17(quick bool) ([]compressCell, int) {
 		}
 	}
 	return cells, code
-}
-
-// mergeCompress lands freshly measured compression cells in jsonPath
-// without disturbing the rest of the document, mirroring mergeServe.
-func mergeCompress(jsonPath string, cells []compressCell) error {
-	doc := map[string]any{}
-	if data, err := os.ReadFile(jsonPath); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("bench: %s: %w", jsonPath, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	doc["compress"] = cells
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s (compress cells)\n", jsonPath)
-	return nil
 }

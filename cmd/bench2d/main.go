@@ -16,6 +16,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -122,67 +123,29 @@ func run(args []string) int {
 	if run("13") {
 		e13(*quick)
 	}
-	if run("14") {
-		cells, code := e14(*quick)
+	// Experiments 14-19 each measure one BENCH_race2d.json section; a
+	// standalone run lands its cells in the -json document in place, so
+	// one trajectory updates without a full -e bench run.
+	for _, x := range []struct {
+		id, key string
+		run     func() (any, int)
+	}{
+		{"14", "serve", func() (any, int) { c, code := e14(*quick); return c, code }},
+		{"15", "chaos", func() (any, int) { return e15(*quick), 0 }},
+		{"16", "shards", func() (any, int) { c, code := e16(*quick, *checkAllocs); return c, code }},
+		{"17", "compress", func() (any, int) { c, code := e17(*quick); return c, code }},
+		{"18", "cluster", func() (any, int) { return e18(*quick), 0 }},
+		{"19", "store", func() (any, int) { return e19(*quick), 0 }},
+	} {
+		if !run(x.id) {
+			continue
+		}
+		cells, code := x.run()
 		if code != 0 {
 			return code
 		}
-		// Standalone -e 14 lands its cells in the JSON document in
-		// place, so the service trajectory updates without a full -e
-		// bench run.
-		if *exp == "14" && *jsonPath != "" {
-			if err := mergeServe(*jsonPath, cells); err != nil {
-				fmt.Fprintln(os.Stderr, "bench2d:", err)
-				return 1
-			}
-		}
-	}
-	if run("15") {
-		cells := e15(*quick)
-		if *exp == "15" && *jsonPath != "" {
-			if err := mergeChaos(*jsonPath, cells); err != nil {
-				fmt.Fprintln(os.Stderr, "bench2d:", err)
-				return 1
-			}
-		}
-	}
-	if run("16") {
-		cells, code := e16(*quick, *checkAllocs)
-		if code != 0 {
-			return code
-		}
-		if *exp == "16" && *jsonPath != "" {
-			if err := mergeShards(*jsonPath, cells); err != nil {
-				fmt.Fprintln(os.Stderr, "bench2d:", err)
-				return 1
-			}
-		}
-	}
-	if run("17") {
-		cells, code := e17(*quick)
-		if code != 0 {
-			return code
-		}
-		if *exp == "17" && *jsonPath != "" {
-			if err := mergeCompress(*jsonPath, cells); err != nil {
-				fmt.Fprintln(os.Stderr, "bench2d:", err)
-				return 1
-			}
-		}
-	}
-	if run("18") {
-		cells := e18(*quick)
-		if *exp == "18" && *jsonPath != "" {
-			if err := mergeCluster(*jsonPath, cells); err != nil {
-				fmt.Fprintln(os.Stderr, "bench2d:", err)
-				return 1
-			}
-		}
-	}
-	if run("19") {
-		cells := e19(*quick)
-		if *exp == "19" && *jsonPath != "" {
-			if err := mergeStore(*jsonPath, cells); err != nil {
+		if *exp == x.id && *jsonPath != "" {
+			if err := mergeCells(*jsonPath, x.key, cells); err != nil {
 				fmt.Fprintln(os.Stderr, "bench2d:", err)
 				return 1
 			}
@@ -198,6 +161,31 @@ func run(args []string) int {
 func table(header string) *tabwriter.Writer {
 	fmt.Println(header)
 	return tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+}
+
+// mergeCells lands freshly measured cells under key in the JSON
+// document at path without disturbing the rest of it (creating a
+// minimal document when absent).
+func mergeCells(path, key string, cells any) error {
+	doc := map[string]any{}
+	if data, err := os.ReadFile(path); err == nil {
+		if err := json.Unmarshal(data, &doc); err != nil {
+			return fmt.Errorf("bench: %s: %w", path, err)
+		}
+	} else if !os.IsNotExist(err) {
+		return err
+	}
+	doc[key] = cells
+	data, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return err
+	}
+	data = append(data, '\n')
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("\nwrote %s (%s cells)\n", path, key)
+	return nil
 }
 
 // e2 regenerates Theorem 3: m+n union-find operations answer m supremum

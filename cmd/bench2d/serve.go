@@ -15,7 +15,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"os"
@@ -209,29 +208,4 @@ func e14(quick bool) ([]serveCell, int) {
 		return cells, 1
 	}
 	return cells, 0
-}
-
-// mergeServe lands freshly measured serve cells in jsonPath without
-// disturbing the rest of the document, so a standalone `-e 14` updates
-// BENCH_race2d.json in place (creating a minimal document when absent).
-func mergeServe(jsonPath string, cells []serveCell) error {
-	doc := map[string]any{}
-	if data, err := os.ReadFile(jsonPath); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("bench: %s: %w", jsonPath, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	doc["serve"] = cells
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s (serve cells)\n", jsonPath)
-	return nil
 }

@@ -12,7 +12,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"time"
@@ -179,29 +178,4 @@ func e19(quick bool) []storeCell {
 		"\nlatency, not by framing or hashing — compare against log-nosync for the" +
 		"\nCPU cost of the chain itself, and against memory for the interface floor.")
 	return cells
-}
-
-// mergeStore lands freshly measured store cells in jsonPath without
-// disturbing the rest of the document, so a standalone `-e 19` updates
-// BENCH_race2d.json in place (creating a minimal document when absent).
-func mergeStore(jsonPath string, cells []storeCell) error {
-	doc := map[string]any{}
-	if data, err := os.ReadFile(jsonPath); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("bench: %s: %w", jsonPath, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	doc["store"] = cells
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s (store cells)\n", jsonPath)
-	return nil
 }

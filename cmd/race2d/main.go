@@ -257,10 +257,10 @@ func noteRecovery(sess *client.Session) {
 			"race2d: note: recovered from %d disconnect(s) (%d batches resent, %d heartbeats missed)\n",
 			st.Reconnects, st.Resends, st.HeartbeatsMissed)
 	}
-	if st.WireBlocks > 0 {
+	if c := st.Compress; c.Blocks > 0 {
 		fmt.Fprintf(os.Stderr,
 			"race2d: note: wire compression %d block(s), %d -> %d bytes (%.1fx)\n",
-			st.WireBlocks, st.WireBytesRaw, st.WireBytesBlocks, st.CompressRatio())
+			c.Blocks, c.RawBytes, c.WireBytes, c.Ratio())
 	}
 }
 

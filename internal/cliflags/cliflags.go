@@ -13,6 +13,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Default values for the shared flags. raced and racedctl differ only
@@ -70,7 +72,7 @@ func RegisterTenantKeys(fs *flag.FlagSet, spec *string) {
 // PUT accepts the same format as its request body.
 func RegisterTenantKeysFile(fs *flag.FlagSet, path *string) {
 	fs.StringVar(path, "tenant-keys-file", "",
-		"file of tenant auth entries, one name=key[:maxSessions[:maxStoreBytes]] per line ('#' comments); reloaded on SIGHUP; mutually exclusive with -tenant-keys")
+		"file of tenant auth entries, one name=key[:maxSessions[:maxStoreBytes]] per line ('#' after a space starts a comment); reloaded on SIGHUP; mutually exclusive with -tenant-keys")
 }
 
 // TenantSpec is one parsed -tenant-keys entry. The quota fields are
@@ -89,11 +91,14 @@ type TenantSpec struct {
 }
 
 // ParseTenantKeys decodes a -tenant-keys value: comma-separated
-// name=key[:maxSessions[:maxStoreBytes]] entries. Names and keys must
-// be non-empty; names must not contain ':' (the auth token separator),
-// and keys registered here must not contain ':' or ',' (the flag's own
-// separators). An empty spec parses to nil, meaning auth is off.
+// name=key[:maxSessions[:maxStoreBytes]] entries, then optionally a
+// comment (see stripComment). Names and keys must be non-empty and must
+// not contain '#'; names must not contain ':' (the auth token
+// separator), and keys registered here must not contain ':' or ','
+// (the flag's own separators). An empty spec parses to nil, meaning
+// auth is off.
 func ParseTenantKeys(spec string) ([]TenantSpec, error) {
+	spec = stripComment(spec)
 	if strings.TrimSpace(spec) == "" {
 		return nil, nil
 	}
@@ -108,8 +113,8 @@ func ParseTenantKeys(spec string) ([]TenantSpec, error) {
 		if !ok || name == "" || rest == "" {
 			return nil, fmt.Errorf("cliflags: -tenant-keys entry %q: want name=key[:maxSessions[:maxStoreBytes]]", item)
 		}
-		if strings.Contains(name, ":") {
-			return nil, fmt.Errorf("cliflags: -tenant-keys tenant %q: name must not contain ':'", name)
+		if strings.ContainsAny(name, ":#") {
+			return nil, fmt.Errorf("cliflags: -tenant-keys tenant %q: name must not contain ':' or '#'", name)
 		}
 		if seen[name] {
 			return nil, fmt.Errorf("cliflags: -tenant-keys tenant %q listed twice", name)
@@ -119,6 +124,9 @@ func ParseTenantKeys(spec string) ([]TenantSpec, error) {
 		t := TenantSpec{Name: name, Key: parts[0]}
 		if t.Key == "" {
 			return nil, fmt.Errorf("cliflags: -tenant-keys tenant %q: empty key", name)
+		}
+		if strings.Contains(t.Key, "#") {
+			return nil, fmt.Errorf("cliflags: -tenant-keys tenant %q: key must not contain '#'", name)
 		}
 		if len(parts) > 3 {
 			return nil, fmt.Errorf("cliflags: -tenant-keys entry %q: too many ':' fields", item)
@@ -148,17 +156,14 @@ func ParseTenantKeys(spec string) ([]TenantSpec, error) {
 // ParseTenantKeysFile decodes the -tenant-keys-file format: the
 // -tenant-keys grammar spread over lines — one or more
 // name=key[:maxSessions[:maxStoreBytes]] entries per line (commas
-// still work within a line), '#' starts a comment, blank lines are
-// ignored. A file with no entries parses to nil, meaning auth is off:
-// unlike the flag (where an empty value just means "flag unset"), an
-// emptied file is an explicit operator statement.
+// still work within a line), comments as in ParseTenantKeys, blank
+// lines ignored. A file with no entries parses to nil, meaning auth is
+// off: unlike the flag (where an empty value just means "flag unset"),
+// an emptied file is an explicit operator statement.
 func ParseTenantKeysFile(data []byte) ([]TenantSpec, error) {
 	var entries []string
 	for _, line := range strings.Split(string(data), "\n") {
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		line = strings.TrimSpace(line)
+		line = strings.TrimSpace(stripComment(line))
 		if line != "" {
 			entries = append(entries, line)
 		}
@@ -167,4 +172,20 @@ func ParseTenantKeysFile(data []byte) ([]TenantSpec, error) {
 		return nil, nil
 	}
 	return ParseTenantKeys(strings.Join(entries, ","))
+}
+
+// stripComment cuts a line at its comment: a '#' at the start of the
+// line or after whitespace. Any other '#' belongs to an entry, where
+// ParseTenantKeys refuses it rather than silently shortening a key at
+// it.
+func stripComment(line string) string {
+	for i := 0; i < len(line); i++ {
+		if line[i] != '#' {
+			continue
+		}
+		if prev, _ := utf8.DecodeLastRuneInString(line[:i]); i == 0 || unicode.IsSpace(prev) {
+			return line[:i]
+		}
+	}
+	return line
 }

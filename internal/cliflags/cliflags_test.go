@@ -1,6 +1,10 @@
 package cliflags
 
-import "testing"
+import (
+	"reflect"
+	"strings"
+	"testing"
+)
 
 func TestParseTenantKeysFile(t *testing.T) {
 	specs, err := ParseTenantKeysFile([]byte(
@@ -38,4 +42,46 @@ func TestParseTenantKeysFile(t *testing.T) {
 	if _, err := ParseTenantKeysFile([]byte("acme=k:notanumber\n")); err == nil {
 		t.Error("malformed quota accepted")
 	}
+}
+
+// TestTenantKeysHashInsideEntry: a '#' inside a name or key is refused
+// by both parsers instead of cutting the key short, and a '#' after
+// whitespace is a comment in both.
+func TestTenantKeysHashInsideEntry(t *testing.T) {
+	for _, spec := range []string{"alice=s3cr#t", "al#ce=k", "alice=k#", "acme=k,alice=#x:2"} {
+		if specs, err := ParseTenantKeysFile([]byte(spec + "\n")); err == nil {
+			t.Errorf("file %q accepted as %+v", spec, specs)
+		}
+		if specs, err := ParseTenantKeys(spec); err == nil {
+			t.Errorf("flag %q accepted as %+v", spec, specs)
+		}
+	}
+	want := []TenantSpec{{Name: "alice", Key: "s3cret", MaxSessions: 2}}
+	for _, spec := range []string{"alice=s3cret:2 # prod", "alice=s3cret:2\t#prod", "alice=s3cret:2"} {
+		if specs, err := ParseTenantKeysFile([]byte(spec)); err != nil || !reflect.DeepEqual(specs, want) {
+			t.Errorf("file %q = %+v, %v; want %+v", spec, specs, err, want)
+		}
+		if specs, err := ParseTenantKeys(spec); err != nil || !reflect.DeepEqual(specs, want) {
+			t.Errorf("flag %q = %+v, %v; want %+v", spec, specs, err, want)
+		}
+	}
+}
+
+// FuzzParseTenantKeys: neither parser panics, and on a single line the
+// flag and file grammars agree — the same specs, or both refuse.
+func FuzzParseTenantKeys(f *testing.F) {
+	for _, seed := range []string{"", "acme=secret:4:1048576", "  beta=bk  # trailing comment",
+		"alice=s3cr#t", "a=b,c=d:1", "# only a comment", "x=y:1:2:3", "n:m=k", "a=b,,c=d", "a=b\t#c#d", "\r#"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		fromFile, fileErr := ParseTenantKeysFile([]byte(spec))
+		fromFlag, flagErr := ParseTenantKeys(spec)
+		if strings.Contains(spec, "\n") {
+			return
+		}
+		if (fileErr == nil) != (flagErr == nil) || !reflect.DeepEqual(fromFile, fromFlag) {
+			t.Fatalf("%q: file %+v (%v), flag %+v (%v)", spec, fromFile, fileErr, fromFlag, flagErr)
+		}
+	})
 }

@@ -70,8 +70,6 @@ const (
 	// table (table.go) — allocation-free accesses, one linear probe per
 	// operation.
 	StorageOpenAddr Storage = iota
-	// StorageMap is the reference map[Addr]*locState backend.
-	StorageMap
 	// StorageShadow is the paged shadow-memory backend (shadow.go),
 	// tuned for dense address ranges.
 	StorageShadow
@@ -81,8 +79,6 @@ func (s Storage) String() string {
 	switch s {
 	case StorageOpenAddr:
 		return "openaddr"
-	case StorageMap:
-		return "map"
 	case StorageShadow:
 		return "shadow"
 	}
@@ -94,8 +90,6 @@ func ParseStorage(s string) (Storage, error) {
 	switch s {
 	case "openaddr", "oa", "table":
 		return StorageOpenAddr, nil
-	case "map":
-		return StorageMap, nil
 	case "shadow":
 		return StorageShadow, nil
 	}
@@ -119,9 +113,8 @@ type Access struct {
 type Detector struct {
 	W *Walker
 
-	table  *locTable          // non-nil for the default open-addressing storage
-	state  map[Addr]*locState // non-nil for map storage
-	shadow *shadowTable       // non-nil for shadow-memory storage
+	table  *locTable    // non-nil for the default open-addressing storage
+	shadow *shadowTable // non-nil for shadow-memory storage
 
 	// MaxRaces bounds the retained race reports (the count keeps
 	// increasing); 0 means keep everything. The paper's precision
@@ -136,10 +129,9 @@ type Detector struct {
 	// Operation counters (plain uint64s on the serial hot path) and the
 	// batch-size histogram; Stats() snapshots them together with the
 	// walker and storage counters.
-	reads     uint64
-	writes    uint64
-	mapProbes uint64 // map-storage lookups (the other backends count internally)
-	batches   obs.Histogram
+	reads   uint64
+	writes  uint64
+	batches obs.Histogram
 }
 
 // NewDetector returns a detector expecting about n vertices/threads
@@ -153,12 +145,9 @@ func NewDetector(n, locHint int) *Detector {
 // storage backend; see Storage for the choices.
 func NewDetectorStorage(n, locHint int, s Storage) *Detector {
 	d := &Detector{W: NewWalker(n)}
-	switch s {
-	case StorageMap:
-		d.state = make(map[Addr]*locState, locHint)
-	case StorageShadow:
+	if s == StorageShadow {
 		d.shadow = newShadowTable()
-	default:
+	} else {
 		d.table = newLocTable(locHint)
 	}
 	return d
@@ -173,14 +162,10 @@ func NewDetectorShadow(n int) *Detector {
 
 // Storage reports the selected per-location storage backend.
 func (d *Detector) Storage() Storage {
-	switch {
-	case d.state != nil:
-		return StorageMap
-	case d.shadow != nil:
+	if d.shadow != nil {
 		return StorageShadow
-	default:
-		return StorageOpenAddr
 	}
+	return StorageOpenAddr
 }
 
 // loc returns the state slot for a; OnRead and OnWrite call it exactly
@@ -192,16 +177,7 @@ func (d *Detector) loc(a Addr) *locState {
 	if d.table != nil {
 		return d.table.get(a)
 	}
-	if d.shadow != nil {
-		return d.shadow.get(a)
-	}
-	d.mapProbes++
-	st, ok := d.state[a]
-	if !ok {
-		st = &locState{read: noAccess, write: noAccess}
-		d.state[a] = st
-	}
-	return st
+	return d.shadow.get(a)
 }
 
 func (d *Detector) report(r Race) {
@@ -299,15 +275,11 @@ func (d *Detector) Locations() int {
 	if d.table != nil {
 		return d.table.locations()
 	}
-	if d.shadow != nil {
-		return d.shadow.locations()
-	}
-	return len(d.state)
+	return d.shadow.locations()
 }
 
 // BytesPerLocation reports the detector's per-location state size in
-// bytes: constant by construction (Theorem 5). Map bucket overhead is
-// excluded; it is itself constant per entry.
+// bytes: constant by construction (Theorem 5).
 func (d *Detector) BytesPerLocation() int { return 8 }
 
 // MemoryBytes estimates the detector's total state: walker (Θ(1) per
@@ -317,9 +289,5 @@ func (d *Detector) MemoryBytes() int {
 	if d.table != nil {
 		return d.W.MemoryBytes() + d.table.bytes()
 	}
-	if d.shadow != nil {
-		return d.W.MemoryBytes() + d.shadow.bytes()
-	}
-	const mapEntryOverhead = 16 // key + pointer, amortized bucket space
-	return d.W.MemoryBytes() + len(d.state)*(8+mapEntryOverhead)
+	return d.W.MemoryBytes() + d.shadow.bytes()
 }

@@ -107,14 +107,14 @@ func TestShadowFigure2(t *testing.T) {
 	}
 }
 
-func BenchmarkLocStoreMapVsShadow(b *testing.B) {
+func BenchmarkLocStoreOpenAddrVsShadow(b *testing.B) {
 	const nOps = 1 << 14
 	rng := rand.New(rand.NewSource(7))
 	ops := make([]scriptedOp, nOps)
 	for i := range ops {
 		ops[i] = scriptedOp{t: 0, loc: Addr(rng.Intn(1 << 12)), write: i%3 == 0}
 	}
-	b.Run("map", func(b *testing.B) {
+	b.Run("openaddr", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			d := NewDetector(1, 1<<12)

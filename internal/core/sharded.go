@@ -71,7 +71,6 @@ type detShard struct {
 	done chan struct{}
 
 	table  *locTable
-	state  map[Addr]*locState
 	shadow *shadowTable
 
 	maxRaces int
@@ -80,7 +79,6 @@ type detShard struct {
 	count    int
 
 	reads, writes, queries uint64
-	mapProbes              uint64
 	events                 uint64
 }
 
@@ -116,12 +114,9 @@ func NewShardedDetector(n, locHint, shards int, storage Storage, queueCap, maxRa
 			done:     make(chan struct{}),
 			maxRaces: maxRaces,
 		}
-		switch storage {
-		case StorageMap:
-			s.state = make(map[Addr]*locState, perShardHint)
-		case StorageShadow:
+		if storage == StorageShadow {
 			s.shadow = newShadowTable()
-		default:
+		} else {
 			s.table = newLocTable(perShardHint)
 		}
 		d.shards = append(d.shards, s)
@@ -397,48 +392,29 @@ func (s *detShard) loc(a Addr) *locState {
 	if s.table != nil {
 		return s.table.get(a)
 	}
-	if s.shadow != nil {
-		return s.shadow.get(a)
-	}
-	s.mapProbes++
-	st, ok := s.state[a]
-	if !ok {
-		st = &locState{read: noAccess, write: noAccess}
-		s.state[a] = st
-	}
-	return st
+	return s.shadow.get(a)
 }
 
 func (s *detShard) locations() int {
 	if s.table != nil {
 		return s.table.locations()
 	}
-	if s.shadow != nil {
-		return s.shadow.locations()
-	}
-	return len(s.state)
+	return s.shadow.locations()
 }
 
 func (s *detShard) bytes() int {
 	if s.table != nil {
 		return s.table.bytes()
 	}
-	if s.shadow != nil {
-		return s.shadow.bytes()
-	}
-	const mapEntryOverhead = 16
-	return len(s.state) * (8 + mapEntryOverhead)
+	return s.shadow.bytes()
 }
 
 func (s *detShard) storageStats() (probes, rehashSteps, grows uint64) {
 	if s.table != nil {
 		return s.table.stats()
 	}
-	if s.shadow != nil {
-		p, g := s.shadow.stats()
-		return p, 0, g
-	}
-	return s.mapProbes, 0, 0
+	p, g := s.shadow.stats()
+	return p, 0, g
 }
 
 func (s *detShard) report(r Race, seq uint64) {

@@ -36,7 +36,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 		serial := fj.NewDetectorSink(4)
 		tr.Replay(serial)
 		for _, shards := range []int{1, 2, 4, 8} {
-			for _, storage := range []core.Storage{core.StorageOpenAddr, core.StorageMap, core.StorageShadow} {
+			for _, storage := range []core.Storage{core.StorageOpenAddr, core.StorageShadow} {
 				for _, batched := range []bool{false, true} {
 					label := fmt.Sprintf("seed %d shards %d %s batched=%v", seed, shards, storage, batched)
 					sh := replaySharded(&tr, shards, storage, batched)

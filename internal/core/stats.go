@@ -19,13 +19,10 @@ func (d *Detector) Stats() Stats {
 	s := d.W.Stats()
 	s.Reads = d.reads
 	s.Writes = d.writes
-	switch {
-	case d.table != nil:
+	if d.table != nil {
 		s.TableProbes, s.TableRehashSteps, s.TableGrows = d.table.stats()
-	case d.shadow != nil:
+	} else {
 		s.TableProbes, s.TableGrows = d.shadow.stats()
-	default:
-		s.TableProbes = d.mapProbes
 	}
 	s.Races = uint64(d.count)
 	s.Locations = uint64(d.Locations())

@@ -54,7 +54,7 @@ func TestAccountingOnGridTraversals(t *testing.T) {
 // TestDetectorStats checks the detector-level snapshot: memory
 // operations, storage counters, races and the batch histogram.
 func TestDetectorStats(t *testing.T) {
-	for _, storage := range []Storage{StorageOpenAddr, StorageMap, StorageShadow} {
+	for _, storage := range []Storage{StorageOpenAddr, StorageShadow} {
 		d := NewDetectorStorage(4, 0, storage)
 		d.W.Grow(2)
 		d.W.Visit(0)

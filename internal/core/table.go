@@ -2,16 +2,16 @@ package core
 
 // Open-addressing storage for per-location detector state.
 //
-// The reference map storage (`map[Addr]*locState`) costs one heap
-// allocation per tracked location plus a hash-bucket walk and a pointer
-// chase on every access; the constant factors drown the Θ(1)-per-location
-// asymptotics of Theorem 5 in measurements. This table stores the two
+// A Go map (`map[Addr]*locState`) would cost one heap allocation per
+// tracked location plus a hash-bucket walk and a pointer chase on every
+// access; the constant factors drown the Θ(1)-per-location asymptotics
+// of Theorem 5 in measurements. This table stores the two
 // identifiers *by value* in a flat slab of locEntry records probed
 // linearly from a multiplicative hash — no per-location allocation, no
 // indirection, one predictable probe sequence per access. It is the
-// detector's default storage; the map and the paged shadow table remain
-// available behind the Storage option for differential testing and for
-// workloads with different locality profiles.
+// detector's default storage; the paged shadow table remains available
+// behind the Storage option for differential testing and for workloads
+// with different locality profiles.
 //
 // Growth is incremental: when the load factor passes 3/4 the table
 // allocates a doubled slab and migrates a bounded number of old entries

@@ -152,7 +152,7 @@ func TestLocTablePointerStability(t *testing.T) {
 // the same random access pattern through full detectors on every backend
 // yields identical race reports, not merely identical verdicts.
 func TestDetectorStoragesAgree(t *testing.T) {
-	storages := []Storage{StorageOpenAddr, StorageMap, StorageShadow}
+	storages := []Storage{StorageOpenAddr, StorageShadow}
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
 		nTasks := 2 + rng.Intn(6)

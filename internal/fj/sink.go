@@ -25,7 +25,7 @@ func NewDetectorSink(nTasks int) *DetectorSink {
 }
 
 // NewDetectorSinkStorage is NewDetectorSink with an explicit per-location
-// storage backend (openaddr, map or shadow); every backend reports
+// storage backend (openaddr or shadow); every backend reports
 // identical races (see the differential tests).
 func NewDetectorSinkStorage(nTasks int, s core.Storage) *DetectorSink {
 	return NewDetectorSinkSized(nTasks, 64, s)

@@ -14,6 +14,15 @@
 // (no atomics: the detector is serial by construction), so the steady
 // state stays allocation-free and the cost per memory operation is a
 // handful of integer increments.
+//
+// Stats holds only what a verdict reports: every field may be filled
+// by an engine or by the ingestion that feeds it, and every field is
+// carried by each Report. Counters of the service around the detector
+// belong to the package that fills them: server.Stats (sessions,
+// frames, resumes, refusals; it embeds Stats for the queue and shard
+// totals it folds from its sessions), client.Stats (reconnects,
+// resends, heartbeats missed) and wire.BlockStats (compressed blocks
+// and their bytes, which both ends count).
 package obs
 
 import (
@@ -84,48 +93,65 @@ type Stats struct {
 	ShardEventsMax     uint64 `json:"shard_events_max,omitempty"`     // busiest shard's accesses — the imbalance ceiling
 	CrossShardHandoffs uint64 `json:"cross_shard_handoffs,omitempty"` // accesses handed from the structure stage to shard queues
 	ShardStalls        uint64 `json:"shard_stalls,omitempty"`         // dispatches that blocked on a full shard queue
-
-	// Streaming detection service (internal/server): wire-level
-	// accounting, aggregated across sessions. Per-session detector
-	// reports leave these zero, so local and remote Report JSON stay
-	// byte-identical.
-	Sessions         uint64 `json:"sessions,omitempty"`          // sessions accepted over the server's lifetime
-	SessionsRejected uint64 `json:"sessions_rejected,omitempty"` // connections refused at the live-session cap
-	Evictions        uint64 `json:"evictions,omitempty"`         // idle sessions evicted
-	Frames           uint64 `json:"frames,omitempty"`            // event frames ingested
-	WireBytes        uint64 `json:"wire_bytes,omitempty"`        // frame payload bytes received
-
-	// Fault tolerance (wire resume protocol). The client side reports its
-	// circuit-breaker surface (reconnects, resends, heartbeats missed);
-	// the server side reports resume traffic (sessions re-attached,
-	// duplicate batches discarded, handshakes refused). Per-session
-	// detector Reports leave all of these zero, preserving local/remote
-	// byte parity.
-	Reconnects        uint64 `json:"reconnects,omitempty"`         // connections re-established after a transport fault
-	Resends           uint64 `json:"resends,omitempty"`            // replay-buffer batches resent after resume
-	DupsDropped       uint64 `json:"dups_dropped,omitempty"`       // duplicate-sequence batches discarded (server)
-	HeartbeatsMissed  uint64 `json:"heartbeats_missed,omitempty"`  // dead-peer declarations from heartbeat silence
-	Resumes           uint64 `json:"resumes,omitempty"`            // sessions successfully re-attached (server)
-	HandshakeRefusals uint64 `json:"handshake_refusals,omitempty"` // connections refused before a session existed (server)
-
-	// Block compression (wire CapCompress). Both ends
-	// report the same three counters: compressed event blocks carried,
-	// their payload bytes on the wire, and the raw record-form bytes
-	// they stand for — WireBytesRaw / WireBytesBlocks is the achieved
-	// compression ratio. Per-session detector Reports leave these zero,
-	// preserving local/remote byte parity.
-	WireBlocks      uint64 `json:"wire_blocks,omitempty"`       // compressed event blocks sent/received
-	WireBytesBlocks uint64 `json:"wire_bytes_blocks,omitempty"` // block payload bytes on the wire
-	WireBytesRaw    uint64 `json:"wire_bytes_raw,omitempty"`    // raw record-form bytes the blocks stand for
 }
 
-// CompressRatio returns the achieved wire compression ratio (raw bytes
-// per wire byte), or 1 when no blocks flowed.
-func (s Stats) CompressRatio() float64 {
-	if s.WireBytesBlocks == 0 {
-		return 1
-	}
-	return float64(s.WireBytesRaw) / float64(s.WireBytesBlocks)
+// Merge is how Stats.Add combines one field of two snapshots.
+type Merge uint8
+
+const (
+	Sum       Merge = iota // a volume: the counts add
+	HighWater              // a high-water mark: the larger one stays
+	Keep                   // BytesPerLocation, a per-engine constant: the receiver's value stays
+	Hist                   // the batch-size histogram: the buckets add
+)
+
+// Field is one row of Fields: a Stats field by its JSON key.
+type Field struct {
+	Key   string
+	Merge Merge
+	// Counter addresses the field of a Sum or HighWater row; it is nil
+	// for the two others, the float (Keep) and the histogram (Hist).
+	Counter func(*Stats) *uint64
+}
+
+// Fields lists every Stats field in declaration order — the order of
+// its JSON object and of a Report's binary encoding. Add, String, the
+// JSON renderer and the binary codec all iterate it, so a field added
+// to Stats needs one row here and nothing else.
+var Fields = [...]Field{
+	{"reads", Sum, func(s *Stats) *uint64 { return &s.Reads }},
+	{"writes", Sum, func(s *Stats) *uint64 { return &s.Writes }},
+	{"forks", Sum, func(s *Stats) *uint64 { return &s.Forks }},
+	{"joins", Sum, func(s *Stats) *uint64 { return &s.Joins }},
+	{"halts", Sum, func(s *Stats) *uint64 { return &s.Halts }},
+	{"sup_queries", Sum, func(s *Stats) *uint64 { return &s.SupQueries }},
+	{"visits", Sum, func(s *Stats) *uint64 { return &s.Visits }},
+	{"finds", Sum, func(s *Stats) *uint64 { return &s.Finds }},
+	{"unions", Sum, func(s *Stats) *uint64 { return &s.Unions }},
+	{"path_steps", Sum, func(s *Stats) *uint64 { return &s.PathSteps }},
+	{"table_probes", Sum, func(s *Stats) *uint64 { return &s.TableProbes }},
+	{"table_rehash_steps", Sum, func(s *Stats) *uint64 { return &s.TableRehashSteps }},
+	{"table_grows", Sum, func(s *Stats) *uint64 { return &s.TableGrows }},
+	{"clock_joins", Sum, func(s *Stats) *uint64 { return &s.ClockJoins }},
+	{"clock_entries_scanned", Sum, func(s *Stats) *uint64 { return &s.ClockEntries }},
+	{"epoch_hits", Sum, func(s *Stats) *uint64 { return &s.EpochHits }},
+	{"read_shares", Sum, func(s *Stats) *uint64 { return &s.ReadShares }},
+	{"accesses_scanned", Sum, func(s *Stats) *uint64 { return &s.SetScans }},
+	{"list_inserts", Sum, func(s *Stats) *uint64 { return &s.ListInserts }},
+	{"order_queries", Sum, func(s *Stats) *uint64 { return &s.OrderQueries }},
+	{"races", Sum, func(s *Stats) *uint64 { return &s.Races }},
+	{"locations", Sum, func(s *Stats) *uint64 { return &s.Locations }},
+	{"bytes_per_location", Keep, nil},
+	{"batches", Sum, func(s *Stats) *uint64 { return &s.Batches }},
+	{"batch_size_hist", Hist, nil},
+	{"producers", Sum, func(s *Stats) *uint64 { return &s.Producers }},
+	{"events_buffered", Sum, func(s *Stats) *uint64 { return &s.EventsBuffered }},
+	{"max_queue_depth", HighWater, func(s *Stats) *uint64 { return &s.MaxQueueDepth }},
+	{"producer_stalls", Sum, func(s *Stats) *uint64 { return &s.ProducerStalls }},
+	{"shards", Sum, func(s *Stats) *uint64 { return &s.Shards }},
+	{"shard_events_max", HighWater, func(s *Stats) *uint64 { return &s.ShardEventsMax }},
+	{"cross_shard_handoffs", Sum, func(s *Stats) *uint64 { return &s.CrossShardHandoffs }},
+	{"shard_stalls", Sum, func(s *Stats) *uint64 { return &s.ShardStalls }},
 }
 
 // MemOps returns the total memory operations observed.
@@ -146,125 +172,40 @@ func (s Stats) AmortizedSteps() float64 {
 	return float64(s.Finds+s.Unions+s.PathSteps) / float64(ops)
 }
 
-// Add accumulates other into s field by field (histogram buckets
-// included), for aggregating shards of a fleet.
+// Add accumulates other into s field by field, each by its Fields
+// merge rule, for aggregating shards of a fleet.
 func (s *Stats) Add(other Stats) {
-	s.Reads += other.Reads
-	s.Writes += other.Writes
-	s.Forks += other.Forks
-	s.Joins += other.Joins
-	s.Halts += other.Halts
-	s.SupQueries += other.SupQueries
-	s.Visits += other.Visits
-	s.Finds += other.Finds
-	s.Unions += other.Unions
-	s.PathSteps += other.PathSteps
-	s.TableProbes += other.TableProbes
-	s.TableRehashSteps += other.TableRehashSteps
-	s.TableGrows += other.TableGrows
-	s.ClockJoins += other.ClockJoins
-	s.ClockEntries += other.ClockEntries
-	s.EpochHits += other.EpochHits
-	s.ReadShares += other.ReadShares
-	s.SetScans += other.SetScans
-	s.ListInserts += other.ListInserts
-	s.OrderQueries += other.OrderQueries
-	s.Races += other.Races
-	s.Locations += other.Locations
-	s.Batches += other.Batches
-	s.Producers += other.Producers
-	s.EventsBuffered += other.EventsBuffered
-	if other.MaxQueueDepth > s.MaxQueueDepth {
-		s.MaxQueueDepth = other.MaxQueueDepth // a high-water mark, not a volume
-	}
-	s.ProducerStalls += other.ProducerStalls
-	s.Shards += other.Shards
-	if other.ShardEventsMax > s.ShardEventsMax {
-		s.ShardEventsMax = other.ShardEventsMax // a high-water mark, not a volume
-	}
-	s.CrossShardHandoffs += other.CrossShardHandoffs
-	s.ShardStalls += other.ShardStalls
-	s.Sessions += other.Sessions
-	s.SessionsRejected += other.SessionsRejected
-	s.Evictions += other.Evictions
-	s.Frames += other.Frames
-	s.WireBytes += other.WireBytes
-	s.Reconnects += other.Reconnects
-	s.Resends += other.Resends
-	s.DupsDropped += other.DupsDropped
-	s.HeartbeatsMissed += other.HeartbeatsMissed
-	s.Resumes += other.Resumes
-	s.HandshakeRefusals += other.HandshakeRefusals
-	s.WireBlocks += other.WireBlocks
-	s.WireBytesBlocks += other.WireBytesBlocks
-	s.WireBytesRaw += other.WireBytesRaw
-	for len(s.BatchSizes) < len(other.BatchSizes) {
-		s.BatchSizes = append(s.BatchSizes, 0)
-	}
-	for i, v := range other.BatchSizes {
-		s.BatchSizes[i] += v
+	for _, f := range Fields {
+		switch f.Merge {
+		case Sum:
+			*f.Counter(s) += *f.Counter(&other)
+		case HighWater:
+			*f.Counter(s) = max(*f.Counter(s), *f.Counter(&other))
+		case Hist:
+			for len(s.BatchSizes) < len(other.BatchSizes) {
+				s.BatchSizes = append(s.BatchSizes, 0)
+			}
+			for i, v := range other.BatchSizes {
+				s.BatchSizes[i] += v
+			}
+		}
 	}
 }
 
-// String renders the non-zero counters compactly, in declaration order.
+// String renders the non-zero counters compactly, in declaration order,
+// each under its JSON key with '_' spelled '-'.
 func (s Stats) String() string {
 	var b strings.Builder
-	put := func(name string, v uint64) {
-		if v == 0 {
-			return
+	for _, f := range Fields {
+		if f.Counter == nil {
+			continue
 		}
-		if b.Len() > 0 {
-			b.WriteByte(' ')
+		if v := *f.Counter(&s); v != 0 {
+			if b.Len() > 0 {
+				b.WriteByte(' ')
+			}
+			fmt.Fprintf(&b, "%s=%d", strings.ReplaceAll(f.Key, "_", "-"), v)
 		}
-		fmt.Fprintf(&b, "%s=%d", name, v)
-	}
-	put("reads", s.Reads)
-	put("writes", s.Writes)
-	put("forks", s.Forks)
-	put("joins", s.Joins)
-	put("halts", s.Halts)
-	put("sup-queries", s.SupQueries)
-	put("visits", s.Visits)
-	put("finds", s.Finds)
-	put("unions", s.Unions)
-	put("path-steps", s.PathSteps)
-	put("table-probes", s.TableProbes)
-	put("rehash-steps", s.TableRehashSteps)
-	put("grows", s.TableGrows)
-	put("clock-joins", s.ClockJoins)
-	put("clock-entries", s.ClockEntries)
-	put("epoch-hits", s.EpochHits)
-	put("read-shares", s.ReadShares)
-	put("set-scans", s.SetScans)
-	put("list-inserts", s.ListInserts)
-	put("order-queries", s.OrderQueries)
-	put("races", s.Races)
-	put("locations", s.Locations)
-	put("batches", s.Batches)
-	put("producers", s.Producers)
-	put("events-buffered", s.EventsBuffered)
-	put("max-queue-depth", s.MaxQueueDepth)
-	put("producer-stalls", s.ProducerStalls)
-	put("shards", s.Shards)
-	put("shard-events-max", s.ShardEventsMax)
-	put("cross-shard-handoffs", s.CrossShardHandoffs)
-	put("shard-stalls", s.ShardStalls)
-	put("sessions", s.Sessions)
-	put("sessions-rejected", s.SessionsRejected)
-	put("evictions", s.Evictions)
-	put("frames", s.Frames)
-	put("wire-bytes", s.WireBytes)
-	put("reconnects", s.Reconnects)
-	put("resends", s.Resends)
-	put("dups-dropped", s.DupsDropped)
-	put("heartbeats-missed", s.HeartbeatsMissed)
-	put("resumes", s.Resumes)
-	put("handshake-refusals", s.HandshakeRefusals)
-	put("wire-blocks", s.WireBlocks)
-	put("wire-bytes-blocks", s.WireBytesBlocks)
-	put("wire-bytes-raw", s.WireBytesRaw)
-	if s.WireBlocks > 0 {
-		fmt.Fprintf(&b, " compress-ratio=%.1f", s.CompressRatio())
 	}
 	if s.MemOps() > 0 && s.UnionFindOps() > 0 {
 		fmt.Fprintf(&b, " amortized-uf-steps/op=%.2f", s.AmortizedSteps())

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -81,11 +82,14 @@ func TestStatsDerived(t *testing.T) {
 }
 
 func TestStatsAdd(t *testing.T) {
-	a := Stats{Reads: 1, Finds: 2, BatchSizes: []uint64{1}}
-	b := Stats{Reads: 2, Unions: 3, Races: 1, BatchSizes: []uint64{4, 5}}
+	a := Stats{Reads: 1, Finds: 2, BatchSizes: []uint64{1}, MaxQueueDepth: 9, BytesPerLocation: 8}
+	b := Stats{Reads: 2, Unions: 3, Races: 1, BatchSizes: []uint64{4, 5}, MaxQueueDepth: 4, ShardEventsMax: 6, BytesPerLocation: 16}
 	a.Add(b)
 	if a.Reads != 3 || a.Finds != 2 || a.Unions != 3 || a.Races != 1 {
 		t.Errorf("Add merged wrong: %+v", a)
+	}
+	if a.MaxQueueDepth != 9 || a.ShardEventsMax != 6 || a.BytesPerLocation != 8 {
+		t.Errorf("Add merged a high-water mark or the per-engine constant wrong: %+v", a)
 	}
 	if len(a.BatchSizes) != 2 || a.BatchSizes[0] != 5 || a.BatchSizes[1] != 5 {
 		t.Errorf("Add histogram merge wrong: %v", a.BatchSizes)
@@ -104,14 +108,51 @@ func TestStatsJSONOmitsZeros(t *testing.T) {
 }
 
 func TestStatsString(t *testing.T) {
-	s := Stats{Reads: 3, Writes: 1, SupQueries: 5, Finds: 5, Unions: 1}
+	s := Stats{Reads: 3, Writes: 1, SupQueries: 5, Finds: 5, Unions: 1, TableRehashSteps: 2, SetScans: 4}
 	str := s.String()
-	for _, want := range []string{"reads=3", "writes=1", "sup-queries=5", "finds=5", "unions=1", "amortized-uf-steps/op="} {
+	for _, want := range []string{"reads=3", "writes=1", "sup-queries=5", "finds=5", "unions=1",
+		"table-rehash-steps=2", "accesses-scanned=4", "amortized-uf-steps/op="} {
 		if !strings.Contains(str, want) {
 			t.Errorf("String() missing %q: %s", want, str)
 		}
 	}
 	if strings.Contains(str, "epoch-hits") {
 		t.Errorf("String() printed a zero counter: %s", str)
+	}
+}
+
+// TestStatsFieldsMatchDeclaration: the field table names every Stats
+// field, in declaration order, under its JSON key; each counter
+// accessor addresses the field it is keyed by, and the two rows without
+// one are the float and the histogram.
+func TestStatsFieldsMatchDeclaration(t *testing.T) {
+	typ := reflect.TypeOf(Stats{})
+	if typ.NumField() != len(Fields) {
+		t.Fatalf("Stats has %d fields, the table %d", typ.NumField(), len(Fields))
+	}
+	for i, f := range Fields {
+		sf := typ.Field(i)
+		if key, _, _ := strings.Cut(sf.Tag.Get("json"), ","); key != f.Key {
+			t.Fatalf("field %d (%s): table key %q, JSON key %q", i, sf.Name, f.Key, key)
+		}
+		var s Stats
+		v := reflect.ValueOf(&s).Elem().Field(i)
+		switch f.Merge {
+		case Sum, HighWater:
+			v.SetUint(uint64(i + 1))
+			if got := *f.Counter(&s); got != uint64(i+1) {
+				t.Fatalf("field %d (%s): accessor reads %d", i, sf.Name, got)
+			}
+		case Keep:
+			if f.Counter != nil || sf.Type.Kind() != reflect.Float64 {
+				t.Fatalf("field %d (%s) is not the float field", i, sf.Name)
+			}
+		case Hist:
+			if f.Counter != nil || sf.Type != reflect.TypeOf([]uint64(nil)) {
+				t.Fatalf("field %d (%s) is not the histogram", i, sf.Name)
+			}
+		default:
+			t.Fatalf("field %d (%s): unknown merge rule %d", i, sf.Name, f.Merge)
+		}
 	}
 }

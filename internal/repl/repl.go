@@ -26,7 +26,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -229,19 +228,10 @@ func (s *Source) run(f *follower) {
 			s.logf("repl: follower %s dropped: backlog exceeds spill budget (%d records)", f.addr, s.cfg.SpillRecords)
 			return
 		}
-		// Full-jitter backoff, capped.
-		shift := attempt
-		if shift > 16 {
-			shift = 16
-		}
-		ceil := s.cfg.BackoffBase << shift
-		if ceil > s.cfg.BackoffMax || ceil <= 0 {
-			ceil = s.cfg.BackoffMax
-		}
 		select {
 		case <-s.done:
 			return
-		case <-time.After(time.Duration(rand.Int63n(int64(ceil) + 1))):
+		case <-time.After(wire.Backoff(s.cfg.BackoffBase, s.cfg.BackoffMax, attempt+1)):
 		}
 	}
 }

@@ -82,11 +82,11 @@ func TestNegotiationMatrix(t *testing.T) {
 			rep := streamTrace(t, addr, tr, append(tc.client, client.WithFrameEvents(4096))...)
 			requireParity(t, rep, tr)
 			st := srv.Stats()
-			if tc.wantBlocks && st.WireBlocks == 0 {
+			if tc.wantBlocks && st.Compress.Blocks == 0 {
 				t.Fatal("compressed pairing shipped no block frames")
 			}
-			if !tc.wantBlocks && st.WireBlocks != 0 {
-				t.Fatalf("fallback pairing still shipped %d block frames", st.WireBlocks)
+			if !tc.wantBlocks && st.Compress.Blocks != 0 {
+				t.Fatalf("fallback pairing still shipped %d block frames", st.Compress.Blocks)
 			}
 		})
 	}
@@ -102,13 +102,13 @@ func TestNegotiationMixedSessions(t *testing.T) {
 	requireParity(t, streamTrace(t, addr, tr, client.WithFrameEvents(4096)), tr)
 	requireParity(t, streamTrace(t, addr, tr, client.WithFrameEvents(4096), client.WithNoCompress()), tr)
 	st := srv.Stats()
-	if st.WireBlocks == 0 {
+	if st.Compress.Blocks == 0 {
 		t.Fatal("the compressed session shipped no block frames")
 	}
 	// Exactly one of the two sessions negotiated blocks, so the raw
 	// bytes the blocks stand for are one trace's record form.
-	if want := uint64(fj.EventsSize(tr.Events)); st.WireBytesRaw != want {
-		t.Fatalf("block frames stand for %d raw bytes, want one session's %d", st.WireBytesRaw, want)
+	if want := uint64(fj.EventsSize(tr.Events)); st.Compress.RawBytes != want {
+		t.Fatalf("block frames stand for %d raw bytes, want one session's %d", st.Compress.RawBytes, want)
 	}
 }
 
@@ -131,7 +131,7 @@ func TestVersionRefusalOnWire(t *testing.T) {
 	t.Cleanup(func() { gw.Close() })
 
 	for _, front := range []struct{ name, addr string }{{"raced", backend}, {"racedctl", ln.Addr().String()}} {
-		for _, version := range []byte{1, 2, 3, 99} {
+		for _, version := range []byte{1, 2, 3, 4, 99} {
 			t.Run(fmt.Sprintf("%s/v%d", front.name, version), func(t *testing.T) {
 				conn, err := net.DialTimeout("tcp", front.addr, 5*time.Second)
 				if err != nil {
@@ -173,11 +173,11 @@ func TestNegotiationCompressionRatio(t *testing.T) {
 	rep := streamTrace(t, addr, tr, client.WithFrameEvents(8192))
 	requireParity(t, rep, tr)
 	st := srv.Stats()
-	if st.WireBlocks == 0 {
+	if st.Compress.Blocks == 0 {
 		t.Fatal("session shipped no block frames")
 	}
-	if ratio := st.CompressRatio(); ratio < 4 {
+	if ratio := st.Compress.Ratio(); ratio < 4 {
 		t.Fatalf("compression ratio %.2f (%d raw -> %d wire bytes), want >= 4",
-			ratio, st.WireBytesRaw, st.WireBytesBlocks)
+			ratio, st.Compress.RawBytes, st.Compress.WireBytes)
 	}
 }

@@ -728,34 +728,29 @@ func (s *Server) dropSessionLocked(sess *session) {
 	}
 }
 
-// foldStats folds a dead session's queue accounting into the server
-// totals.
+// foldStats folds a dead session's queue and shard accounting into the
+// server totals.
 func (s *Server) foldStats(sess *session) {
-	qs := sess.queue.Stats()
-	var shardStats obs.Stats
+	st := sess.queueStats()
 	if sess.shards > 1 {
 		// Every caller has already waited on sess.drained, so the
 		// consumer is done and reading Stats here is safe; on a sharded
 		// backend it also flushes and joins the location workers, which
 		// must happen before their budget grant is released.
-		shardStats = sess.detector.Stats()
+		ds := sess.detector.Stats()
+		st.CrossShardHandoffs, st.ShardStalls, st.ShardEventsMax = ds.CrossShardHandoffs, ds.ShardStalls, ds.ShardEventsMax
 		s.shardWorkersLive.Add(-int64(sess.shards))
 	}
 	s.mu.Lock()
-	s.retired.Producers++
-	s.retired.EventsBuffered += qs.Pushed
-	s.retired.ProducerStalls += qs.Stalls
-	if qs.MaxDepth > s.retired.MaxQueueDepth {
-		s.retired.MaxQueueDepth = qs.MaxDepth
-	}
-	if sess.shards > 1 {
-		s.retired.CrossShardHandoffs += shardStats.CrossShardHandoffs
-		s.retired.ShardStalls += shardStats.ShardStalls
-		if shardStats.ShardEventsMax > s.retired.ShardEventsMax {
-			s.retired.ShardEventsMax = shardStats.ShardEventsMax
-		}
-	}
+	s.retired.Add(st)
 	s.mu.Unlock()
+}
+
+// queueStats is the session's event-queue accounting as the server
+// totals count it: one producer and its queue's volume and depth.
+func (sess *session) queueStats() obs.Stats {
+	qs := sess.queue.Stats()
+	return obs.Stats{Producers: 1, EventsBuffered: qs.Pushed, ProducerStalls: qs.Stalls, MaxQueueDepth: qs.MaxDepth}
 }
 
 // acquireShards reserves a shard-worker grant for a new session under
@@ -1019,19 +1014,32 @@ func (s *Server) Live() int {
 	return len(s.sessions)
 }
 
+// Stats is the server's counter snapshot. The embedded obs.Stats holds
+// the queue and shard totals folded from its sessions; the rest are
+// counters only the service has, which no Report carries.
+type Stats struct {
+	obs.Stats
+
+	Sessions          uint64 // sessions accepted over the server's lifetime
+	SessionsRejected  uint64 // connections refused at the live-session cap
+	Evictions         uint64 // idle sessions evicted
+	Frames            uint64 // event frames ingested
+	WireBytes         uint64 // frame payload bytes received
+	Resumes           uint64 // sessions successfully re-attached
+	DupsDropped       uint64 // duplicate-sequence batches discarded
+	HandshakeRefusals uint64 // connections refused before a session existed
+
+	Compress wire.BlockStats // compressed event blocks decoded
+}
+
 // Stats snapshots the server's wire-level and backpressure counters
 // (live sessions included).
-func (s *Server) Stats() obs.Stats {
+func (s *Server) Stats() Stats {
+	var st Stats
 	s.mu.Lock()
-	st := s.retired
+	st.Stats = s.retired
 	for _, sess := range s.sessions {
-		qs := sess.queue.Stats()
-		st.Producers++
-		st.EventsBuffered += qs.Pushed
-		st.ProducerStalls += qs.Stalls
-		if qs.MaxDepth > st.MaxQueueDepth {
-			st.MaxQueueDepth = qs.MaxDepth
-		}
+		st.Add(sess.queueStats())
 	}
 	s.mu.Unlock()
 	st.Sessions = s.sessionsTotal.Load()
@@ -1039,12 +1047,10 @@ func (s *Server) Stats() obs.Stats {
 	st.Evictions = s.evictions.Load()
 	st.Frames = s.frames.Load()
 	st.WireBytes = s.wireBytes.Load()
-	st.HandshakeRefusals = s.handshakeRefusals.Load()
 	st.Resumes = s.resumes.Load()
 	st.DupsDropped = s.dupsDropped.Load()
-	st.WireBlocks = s.blocks.Load()
-	st.WireBytesBlocks = s.wireBytesBlocks.Load()
-	st.WireBytesRaw = s.wireBytesRaw.Load()
+	st.HandshakeRefusals = s.handshakeRefusals.Load()
+	st.Compress = wire.BlockStats{Blocks: s.blocks.Load(), RawBytes: s.wireBytesRaw.Load(), WireBytes: s.wireBytesBlocks.Load()}
 	if s.cfg.Shards > 1 {
 		st.Shards = uint64(s.cfg.Shards)
 	}
@@ -1092,10 +1098,10 @@ func (s *Server) Handler() http.Handler {
 		fmt.Fprintf(w, "raced_handshake_refusals_total %d\n", st.HandshakeRefusals)
 		fmt.Fprintf(w, "raced_resumes_total %d\n", st.Resumes)
 		fmt.Fprintf(w, "raced_dups_dropped_total %d\n", st.DupsDropped)
-		fmt.Fprintf(w, "raced_wire_blocks_total %d\n", st.WireBlocks)
-		fmt.Fprintf(w, "raced_wire_bytes_blocks_total %d\n", st.WireBytesBlocks)
-		fmt.Fprintf(w, "raced_wire_bytes_raw_total %d\n", st.WireBytesRaw)
-		fmt.Fprintf(w, "raced_compress_ratio %g\n", st.CompressRatio())
+		fmt.Fprintf(w, "raced_wire_blocks_total %d\n", st.Compress.Blocks)
+		fmt.Fprintf(w, "raced_wire_bytes_blocks_total %d\n", st.Compress.WireBytes)
+		fmt.Fprintf(w, "raced_wire_bytes_raw_total %d\n", st.Compress.RawBytes)
+		fmt.Fprintf(w, "raced_compress_ratio %g\n", st.Compress.Ratio())
 		fmt.Fprintf(w, "raced_shard_workers_live %d\n", s.shardWorkersLive.Load())
 		fmt.Fprintf(w, "raced_shard_workers_budget %d\n", s.cfg.ShardBudget)
 		fmt.Fprintf(w, "raced_shard_sessions_total %d\n", s.shardSessions.Load())

@@ -17,7 +17,7 @@ import (
 
 // Segment layout. A segment file opens with a fixed header:
 //
-//	8 bytes   magic "R2DSEG02" — "R2DSEG" plus the two-digit format
+//	8 bytes   magic "R2DSEG03" — "R2DSEG" plus the two-digit format
 //	          version
 //	8 bytes   base index (little endian) — the chain-wide index of the
 //	          segment's first record
@@ -32,11 +32,13 @@ import (
 // (seg-N is only ever followed by seg-N+1); a missing middle segment is
 // tampering, a missing prefix is retention.
 //
-// Format 02 holds report bodies in the race2d.Report binary encoding;
-// format 01 held them as JSON. A log in any format but 02 is refused at
-// open with a *FormatError, never scanned, truncated or recovered.
+// Format 03 holds report bodies in version 2 of the race2d.Report
+// binary encoding; format 02 held version 1 (with fourteen always-zero
+// service counters) and format 01 held JSON. A log in any format but 03
+// is refused at open with a *FormatError, never scanned, truncated or
+// recovered.
 
-var segMagic = [8]byte{'R', '2', 'D', 'S', 'E', 'G', '0', '2'}
+var segMagic = [8]byte{'R', '2', 'D', 'S', 'E', 'G', '0', '3'}
 
 // ErrFormat is the target of errors.Is for every *FormatError.
 var ErrFormat = errors.New("store: unsupported segment format")

@@ -280,60 +280,62 @@ func TestLogTornTailRecovery(t *testing.T) {
 }
 
 // TestLogRefusesOldFormat: a log whose segments announce format 01
-// (JSON report bodies) fails to open with a typed *FormatError naming
+// (JSON report bodies) or 02 (version 1 binary bodies) fails to open with a typed *FormatError naming
 // the version, and is left byte for byte as it was — in particular its
 // torn tail is not truncated and nothing is indexed or recovered.
 func TestLogRefusesOldFormat(t *testing.T) {
-	dir := t.TempDir()
-	l := openTestLog(t, dir, LogConfig{NoSync: true})
-	for i := 0; i < 3; i++ {
-		if err := l.Put(testRecord(i)); err != nil {
+	for _, old := range []string{"01", "02"} {
+		dir := t.TempDir()
+		l := openTestLog(t, dir, LogConfig{NoSync: true})
+		for i := 0; i < 3; i++ {
+			if err := l.Put(testRecord(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l.Close()
+		segs, err := listSegments(dir)
+		if err != nil || len(segs) != 1 {
+			t.Fatalf("segments: %d %v", len(segs), err)
+		}
+		path := segs[0].path
+		data, err := os.ReadFile(path)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	l.Close()
-	segs, err := listSegments(dir)
-	if err != nil || len(segs) != 1 {
-		t.Fatalf("segments: %d %v", len(segs), err)
-	}
-	path := segs[0].path
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite it as a format 01 segment with a torn append at its tail,
-	// which a format 02 open would truncate away.
-	copy(data, "R2DSEG01")
-	torn := AppendRecord(nil, [HashSize]byte{}, testRecord(99))
-	data = append(data, torn[:len(torn)/2]...)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+		// Rewrite it as an old-format segment with a torn append at its
+		// tail, which a current-format open would truncate away.
+		copy(data, "R2DSEG"+old)
+		torn := AppendRecord(nil, [HashSize]byte{}, testRecord(99))
+		data = append(data, torn[:len(torn)/2]...)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 
-	l2, err := OpenLog(LogConfig{Dir: dir, NoSync: true})
-	if err == nil {
-		l2.Close()
-		t.Fatal("format 01 log opened")
-	}
-	var fe *FormatError
-	if !errors.Is(err, ErrFormat) || !errors.As(err, &fe) || fe.Version != "01" || fe.Segment != filepath.Base(path) {
-		t.Fatalf("open error %v (%#v), want a *FormatError for version 01 of %s", err, fe, filepath.Base(path))
-	}
-	if errors.Is(err, ErrTampered) {
-		t.Fatalf("old format reported as tampering: %v", err)
-	}
-	if !strings.Contains(err.Error(), "01") {
-		t.Fatalf("error %q does not name the version found", err)
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(after, data) {
-		t.Fatalf("refused open changed the segment: %d bytes, was %d", len(after), len(data))
-	}
-	if segs2, _ := listSegments(dir); len(segs2) != 1 {
-		t.Fatalf("refused open created segments: %d", len(segs2))
+		l2, err := OpenLog(LogConfig{Dir: dir, NoSync: true})
+		if err == nil {
+			l2.Close()
+			t.Fatalf("format %s log opened", old)
+		}
+		var fe *FormatError
+		if !errors.Is(err, ErrFormat) || !errors.As(err, &fe) || fe.Version != old || fe.Segment != filepath.Base(path) {
+			t.Fatalf("open error %v (%#v), want a *FormatError for version %s of %s", err, fe, old, filepath.Base(path))
+		}
+		if errors.Is(err, ErrTampered) {
+			t.Fatalf("old format reported as tampering: %v", err)
+		}
+		if !strings.Contains(err.Error(), old) {
+			t.Fatalf("error %q does not name the version found", err)
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, data) {
+			t.Fatalf("refused open changed the segment: %d bytes, was %d", len(after), len(data))
+		}
+		if segs2, _ := listSegments(dir); len(segs2) != 1 {
+			t.Fatalf("refused open created segments: %d", len(segs2))
+		}
 	}
 }
 

@@ -83,10 +83,25 @@ type BlockEncoder struct {
 	fw     *flate.Writer
 	fbuf   bytes.Buffer
 
-	// Cumulative accounting across AppendBlock calls, for obs.Stats.
-	Blocks    uint64 // blocks encoded
-	RawBytes  uint64 // total raw record-form bytes in
-	WireBytes uint64 // total block payload bytes out
+	BlockStats // cumulative across AppendBlock calls
+}
+
+// BlockStats is the block-compression accounting both ends of a session
+// keep: the client's encoder counts what it sends, the server what it
+// decodes.
+type BlockStats struct {
+	Blocks    uint64 // compressed event blocks
+	RawBytes  uint64 // raw record-form bytes the blocks stand for
+	WireBytes uint64 // block payload bytes on the wire
+}
+
+// Ratio returns the achieved compression ratio (raw bytes per wire
+// byte), or 1 when no blocks flowed.
+func (b BlockStats) Ratio() float64 {
+	if b.WireBytes == 0 {
+		return 1
+	}
+	return float64(b.RawBytes) / float64(b.WireBytes)
 }
 
 // AppendBlock appends a FrameEventsBlock payload (seq + compressed

@@ -230,13 +230,13 @@ func TestHelloWelcomeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMagicV4(t *testing.T) {
+func TestMagicV5(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteMagic(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if got := buf.Bytes(); !bytes.Equal(got, []byte("RDS\x04")) {
-		t.Fatalf("WriteMagic = %q, want \"RDS\\x04\"", got)
+	if got := buf.Bytes(); !bytes.Equal(got, []byte("RDS\x05")) {
+		t.Fatalf("WriteMagic = %q, want \"RDS\\x05\"", got)
 	}
 	if err := ReadMagic(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("ReadMagic: %v", err)

@@ -62,13 +62,15 @@
 // # Version and capability table
 //
 //	version  magic      hello payload                      welcome payload                 report payload
-//	4        "RDS\x04"  engine, batch, resume token,       session, token, next seq,       flags, binary report
+//	5        "RDS\x05"  engine, batch, resume token,       session, token, next seq,       flags, binary report
 //	                    caps, route key, auth credential   granted caps (intersection)     (race2d.Report.AppendBinary)
 //
-// Version 4 changed only the Report payload: version 3 carried the
-// verdict as JSON. The handshake is unchanged, but a version 3 peer is
-// refused at the magic with ErrVersion rather than failing later to
-// parse a report it cannot read.
+// Versions 4 and 5 changed only the Report payload: version 3 carried
+// the verdict as JSON, and version 4 a binary body (encoding version 1)
+// with fourteen always-zero service counters that version 5's body
+// (encoding version 2) no longer has. The handshake is unchanged, but
+// an older peer is refused at the magic with ErrVersion rather than
+// failing later to parse a report it cannot read.
 //
 //	capability   bit     meaning
 //	CapCompress  1<<0    sender may use EventsBlock (compressed) frames
@@ -107,12 +109,14 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/rand"
+	"time"
 
 	"repro/internal/fj"
 )
 
 // Version is the one protocol version this package speaks.
-const Version = 4
+const Version = 5
 
 // Capability bits. A session's capability set is the intersection
 // of the bits the client offered in Hello and the bits the server
@@ -289,6 +293,17 @@ func ReadMagic(r io.Reader) error {
 		return fmt.Errorf("%w: version %d, speak %d", ErrVersion, m[3], Version)
 	}
 	return nil
+}
+
+// Backoff is the reconnect delay every peer of this protocol uses
+// before its attempt'th retry (attempt >= 1): full jitter under an
+// exponential ceiling, uniform(0, min(limit, base<<min(attempt-1, 16))).
+func Backoff(base, limit time.Duration, attempt int) time.Duration {
+	ceil := base << min(attempt-1, 16)
+	if ceil > limit || ceil <= 0 {
+		ceil = limit
+	}
+	return time.Duration(rand.Int63n(int64(ceil) + 1))
 }
 
 // AppendFrame appends a complete frame (header, payload, CRC) to dst

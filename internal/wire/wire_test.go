@@ -132,7 +132,7 @@ func TestBadMagic(t *testing.T) {
 // TestMagicRefusesOtherVersions: the package speaks one version; an
 // "RDS" magic announcing any other is ErrVersion, not ErrBadMagic.
 func TestMagicRefusesOtherVersions(t *testing.T) {
-	for _, v := range []byte{0, 1, 2, 3, Version + 1, 99, 0xFF} {
+	for _, v := range []byte{0, 1, 2, 3, 4, Version + 1, 99, 0xFF} {
 		if err := ReadMagic(bytes.NewReader([]byte{'R', 'D', 'S', v})); !errors.Is(err, ErrVersion) {
 			t.Fatalf("version %d: %v, want ErrVersion", v, err)
 		}

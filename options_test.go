@@ -82,7 +82,7 @@ func TestWithBatchSizeInvariant(t *testing.T) {
 // TestWithStorageBackends: every 2D storage backend reports the Figure 2
 // race; combining WithStorage with a non-2D engine is rejected.
 func TestWithStorageBackends(t *testing.T) {
-	for _, s := range []Storage{StorageOpenAddr, StorageMap, StorageShadow} {
+	for _, s := range []Storage{StorageOpenAddr, StorageShadow} {
 		rep, err := Detect(figure2, WithStorage(s))
 		if err != nil {
 			t.Fatalf("storage %v: %v", s, err)
@@ -91,7 +91,7 @@ func TestWithStorageBackends(t *testing.T) {
 			t.Fatalf("storage %v: report %+v", s, rep)
 		}
 	}
-	if _, err := Detect(figure2, WithStorage(StorageMap), WithEngine(EngineVC)); err == nil {
+	if _, err := Detect(figure2, WithStorage(StorageShadow), WithEngine(EngineVC)); err == nil {
 		t.Fatal("WithStorage with EngineVC accepted")
 	}
 }
@@ -172,7 +172,7 @@ func TestStreamDetectorSurface(t *testing.T) {
 	if _, err := fj.Run(figure2, &tr, fj.Options{AutoJoin: true}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewStreamDetector(WithStorage(StorageMap), WithEngine(EngineVC)); err == nil {
+	if _, err := NewStreamDetector(WithStorage(StorageShadow), WithEngine(EngineVC)); err == nil {
 		t.Fatal("invalid stream options accepted")
 	}
 	s, err := NewStreamDetector(WithEngine(EngineVC))

@@ -129,8 +129,6 @@ const (
 	// StorageOpenAddr is the default open-addressing table:
 	// allocation-free accesses, one linear probe per operation.
 	StorageOpenAddr = core.StorageOpenAddr
-	// StorageMap is the reference Go-map backend.
-	StorageMap = core.StorageMap
 	// StorageShadow is the paged shadow-memory backend.
 	StorageShadow = core.StorageShadow
 )

@@ -12,6 +12,7 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // A Report has two encodings. The binary one (AppendBinary /
@@ -170,24 +171,19 @@ func appendStatsJSON(dst []byte, s *Stats) ([]byte, error) {
 		dst = append(dst, k...)
 		dst = append(dst, '"', ':')
 	}
-	for _, f := range statsFields {
-		switch {
-		case f.counter != nil:
-			if v := *f.counter(s); v != 0 {
-				key(f.key)
-				dst = strconv.AppendUint(dst, v, 10)
-			}
-		case f.key == keyBytesPerLocation:
+	for _, f := range obs.Fields {
+		switch f.Merge {
+		case obs.Keep: // the float
 			if v := s.BytesPerLocation; v != 0 {
 				if math.IsInf(v, 0) || math.IsNaN(v) {
 					return dst, fmt.Errorf("race2d: unsupported stats value %v", v)
 				}
-				key(f.key)
+				key(f.Key)
 				dst = appendJSONFloat(dst, v)
 			}
-		default: // the batch-size histogram
+		case obs.Hist:
 			if len(s.BatchSizes) > 0 {
-				key(f.key)
+				key(f.Key)
 				dst = append(dst, '[')
 				for i, v := range s.BatchSizes {
 					if i > 0 {
@@ -196,6 +192,11 @@ func appendStatsJSON(dst []byte, s *Stats) ([]byte, error) {
 					dst = strconv.AppendUint(dst, v, 10)
 				}
 				dst = append(dst, ']')
+			}
+		default:
+			if v := *f.Counter(s); v != 0 {
+				key(f.Key)
+				dst = strconv.AppendUint(dst, v, 10)
 			}
 		}
 	}
@@ -279,12 +280,13 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// Binary report layout (version 1):
+// Binary report layout (version 2; version 1 also carried fourteen
+// service counters that no report ever filled):
 //
 //	1 byte   encoding version
 //	uvarint  engine, tasks, locations, race count, memory bytes
 //	         (ints as their two's-complement uint64)
-//	stats    every Stats field in declaration order: counters as
+//	stats    every Stats field in obs.Fields order: counters as
 //	         uvarints, BytesPerLocation as the uvarint of its IEEE 754
 //	         bits, BatchSizes as a uvarint length then uvarint buckets
 //	uvarint  number of retained races, then per race:
@@ -295,7 +297,7 @@ func appendJSONString(dst []byte, s string) []byte {
 //
 // Every varint is in its shortest form, so decoding then re-encoding
 // reproduces the input byte for byte.
-const reportBinaryVersion = 1
+const reportBinaryVersion = 2
 
 // minRaceBytes is the smallest encoding of one race: a one-byte
 // location delta, the kind and two one-byte task ids.
@@ -310,17 +312,17 @@ func (r *Report) AppendBinary(dst []byte) ([]byte, error) {
 	for _, v := range [...]int{int(r.Engine), r.Tasks, r.Locations, r.Count, r.MemoryBytes} {
 		dst = binary.AppendUvarint(dst, uint64(v))
 	}
-	for _, f := range statsFields {
-		switch {
-		case f.counter != nil:
-			dst = binary.AppendUvarint(dst, *f.counter(&r.Stats))
-		case f.key == keyBytesPerLocation:
+	for _, f := range obs.Fields {
+		switch f.Merge {
+		case obs.Keep:
 			dst = binary.AppendUvarint(dst, math.Float64bits(r.Stats.BytesPerLocation))
-		default:
+		case obs.Hist:
 			dst = binary.AppendUvarint(dst, uint64(len(r.Stats.BatchSizes)))
 			for _, v := range r.Stats.BatchSizes {
 				dst = binary.AppendUvarint(dst, v)
 			}
+		default:
+			dst = binary.AppendUvarint(dst, *f.Counter(&r.Stats))
 		}
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(r.Races)))
@@ -360,13 +362,11 @@ func (r *Report) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("%w: unknown engine %d", errReportBinary, engine)
 	}
 	out.Engine = Engine(engine)
-	for _, f := range statsFields {
-		switch {
-		case f.counter != nil:
-			*f.counter(&out.Stats) = rd.uvarint()
-		case f.key == keyBytesPerLocation:
+	for _, f := range obs.Fields {
+		switch f.Merge {
+		case obs.Keep:
 			out.Stats.BytesPerLocation = math.Float64frombits(rd.uvarint())
-		default:
+		case obs.Hist:
 			n := rd.count(1, "histogram buckets")
 			if n > 0 {
 				out.Stats.BatchSizes = make([]uint64, n)
@@ -374,6 +374,8 @@ func (r *Report) UnmarshalBinary(data []byte) error {
 			for i := range out.Stats.BatchSizes {
 				out.Stats.BatchSizes[i] = rd.uvarint()
 			}
+		default:
+			*f.Counter(&out.Stats) = rd.uvarint()
 		}
 	}
 	if n := rd.count(minRaceBytes, "races"); n > 0 {
@@ -452,64 +454,4 @@ func (rd *binReader) count(minBytes int, what string) int {
 		return 0
 	}
 	return int(n)
-}
-
-// keyBytesPerLocation is the JSON key of Stats' one float field.
-const keyBytesPerLocation = "bytes_per_location"
-
-// statsFields lists every Stats field in declaration order — the order
-// of its JSON object and of the binary encoding — by JSON key. counter
-// addresses a uint64 field; it is nil for the two others, the float
-// (keyBytesPerLocation) and the batch-size histogram.
-var statsFields = [...]struct {
-	key     string
-	counter func(*Stats) *uint64
-}{
-	{"reads", func(s *Stats) *uint64 { return &s.Reads }},
-	{"writes", func(s *Stats) *uint64 { return &s.Writes }},
-	{"forks", func(s *Stats) *uint64 { return &s.Forks }},
-	{"joins", func(s *Stats) *uint64 { return &s.Joins }},
-	{"halts", func(s *Stats) *uint64 { return &s.Halts }},
-	{"sup_queries", func(s *Stats) *uint64 { return &s.SupQueries }},
-	{"visits", func(s *Stats) *uint64 { return &s.Visits }},
-	{"finds", func(s *Stats) *uint64 { return &s.Finds }},
-	{"unions", func(s *Stats) *uint64 { return &s.Unions }},
-	{"path_steps", func(s *Stats) *uint64 { return &s.PathSteps }},
-	{"table_probes", func(s *Stats) *uint64 { return &s.TableProbes }},
-	{"table_rehash_steps", func(s *Stats) *uint64 { return &s.TableRehashSteps }},
-	{"table_grows", func(s *Stats) *uint64 { return &s.TableGrows }},
-	{"clock_joins", func(s *Stats) *uint64 { return &s.ClockJoins }},
-	{"clock_entries_scanned", func(s *Stats) *uint64 { return &s.ClockEntries }},
-	{"epoch_hits", func(s *Stats) *uint64 { return &s.EpochHits }},
-	{"read_shares", func(s *Stats) *uint64 { return &s.ReadShares }},
-	{"accesses_scanned", func(s *Stats) *uint64 { return &s.SetScans }},
-	{"list_inserts", func(s *Stats) *uint64 { return &s.ListInserts }},
-	{"order_queries", func(s *Stats) *uint64 { return &s.OrderQueries }},
-	{"races", func(s *Stats) *uint64 { return &s.Races }},
-	{"locations", func(s *Stats) *uint64 { return &s.Locations }},
-	{keyBytesPerLocation, nil},
-	{"batches", func(s *Stats) *uint64 { return &s.Batches }},
-	{"batch_size_hist", nil},
-	{"producers", func(s *Stats) *uint64 { return &s.Producers }},
-	{"events_buffered", func(s *Stats) *uint64 { return &s.EventsBuffered }},
-	{"max_queue_depth", func(s *Stats) *uint64 { return &s.MaxQueueDepth }},
-	{"producer_stalls", func(s *Stats) *uint64 { return &s.ProducerStalls }},
-	{"shards", func(s *Stats) *uint64 { return &s.Shards }},
-	{"shard_events_max", func(s *Stats) *uint64 { return &s.ShardEventsMax }},
-	{"cross_shard_handoffs", func(s *Stats) *uint64 { return &s.CrossShardHandoffs }},
-	{"shard_stalls", func(s *Stats) *uint64 { return &s.ShardStalls }},
-	{"sessions", func(s *Stats) *uint64 { return &s.Sessions }},
-	{"sessions_rejected", func(s *Stats) *uint64 { return &s.SessionsRejected }},
-	{"evictions", func(s *Stats) *uint64 { return &s.Evictions }},
-	{"frames", func(s *Stats) *uint64 { return &s.Frames }},
-	{"wire_bytes", func(s *Stats) *uint64 { return &s.WireBytes }},
-	{"reconnects", func(s *Stats) *uint64 { return &s.Reconnects }},
-	{"resends", func(s *Stats) *uint64 { return &s.Resends }},
-	{"dups_dropped", func(s *Stats) *uint64 { return &s.DupsDropped }},
-	{"heartbeats_missed", func(s *Stats) *uint64 { return &s.HeartbeatsMissed }},
-	{"resumes", func(s *Stats) *uint64 { return &s.Resumes }},
-	{"handshake_refusals", func(s *Stats) *uint64 { return &s.HandshakeRefusals }},
-	{"wire_blocks", func(s *Stats) *uint64 { return &s.WireBlocks }},
-	{"wire_bytes_blocks", func(s *Stats) *uint64 { return &s.WireBytesBlocks }},
-	{"wire_bytes_raw", func(s *Stats) *uint64 { return &s.WireBytesRaw }},
 }

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -176,48 +177,15 @@ func TestMarshalJSONMatchesReflection(t *testing.T) {
 	}
 }
 
-// TestStatsFieldsMatchDeclaration: the codec's field table names every
-// Stats field, in declaration order, under its JSON key, and each
-// counter accessor addresses the field it is keyed by.
-func TestStatsFieldsMatchDeclaration(t *testing.T) {
-	typ := reflect.TypeOf(Stats{})
-	if typ.NumField() != len(statsFields) {
-		t.Fatalf("Stats has %d fields, the codec table %d", typ.NumField(), len(statsFields))
-	}
-	for i, f := range statsFields {
-		sf := typ.Field(i)
-		if key, _, _ := strings.Cut(sf.Tag.Get("json"), ","); key != f.key {
-			t.Fatalf("field %d (%s): table key %q, JSON key %q", i, sf.Name, f.key, key)
-		}
-		var s Stats
-		v := reflect.ValueOf(&s).Elem().Field(i)
-		switch {
-		case f.counter != nil:
-			v.SetUint(uint64(i + 1))
-			if got := *f.counter(&s); got != uint64(i+1) {
-				t.Fatalf("field %d (%s): accessor reads %d", i, sf.Name, got)
-			}
-		case f.key == keyBytesPerLocation:
-			if sf.Type.Kind() != reflect.Float64 {
-				t.Fatalf("field %d (%s) is not the float field", i, sf.Name)
-			}
-		default:
-			if sf.Type != reflect.TypeOf([]uint64(nil)) {
-				t.Fatalf("field %d (%s) is not the histogram", i, sf.Name)
-			}
-		}
-	}
-}
-
 // TestReportBinaryRoundTrip: every corpus report survives the binary
 // codec — same fields, same JSON once the resolver is restored, and the
 // same bytes when encoded again.
 func TestReportBinaryRoundTrip(t *testing.T) {
 	cases := append(codecCorpus(t), codecCase{"hostile-names", hostileNames()})
 	var full Stats
-	for i := range statsFields {
-		if f := statsFields[i]; f.counter != nil {
-			*f.counter(&full) = math.MaxUint64 - uint64(i)
+	for i, f := range obs.Fields {
+		if f.Counter != nil {
+			*f.Counter(&full) = math.MaxUint64 - uint64(i)
 		}
 	}
 	full.BytesPerLocation = -1.25e-300
@@ -261,12 +229,13 @@ func TestUnmarshalBinaryRejects(t *testing.T) {
 	// header is everything up to the race count: version, five ints,
 	// the stats of an all-zero Stats.
 	header := []byte{reportBinaryVersion, 1, 0, 0, 0, 0}
-	for range statsFields {
+	for range obs.Fields {
 		header = append(header, 0)
 	}
 	cases := map[string][]byte{
 		"empty":          nil,
-		"version":        append([]byte{2}, good[1:]...),
+		"version":        append([]byte{reportBinaryVersion + 1}, good[1:]...),
+		"version-1":      append([]byte{1}, good[1:]...),
 		"truncated":      good[:len(good)-1],
 		"trailing":       append(append([]byte(nil), good...), 0),
 		"overlong":       append([]byte{reportBinaryVersion, 0x81, 0x00}, good[2:]...),

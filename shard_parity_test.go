@@ -125,7 +125,7 @@ func TestShardParityGoroutines(t *testing.T) {
 func TestShardParityStorages(t *testing.T) {
 	w := workload.ForkJoin{Seed: 13, Ops: 120, MaxDepth: 5,
 		Mix: workload.Mix{Locs: 7, ReadFrac: 0.5}}
-	for _, storage := range []Storage{StorageOpenAddr, StorageMap, StorageShadow} {
+	for _, storage := range []Storage{StorageOpenAddr, StorageShadow} {
 		serial, err := Detect(w.Program(), WithStorage(storage))
 		if err != nil {
 			t.Fatal(err)

@@ -14,11 +14,11 @@ import (
 )
 
 // storageMatrix replays tr through every storage backend on both the
-// per-event and the batched ingestion path and asserts all six
+// per-event and the batched ingestion path and asserts all four
 // combinations report byte-identical races. Returns the common verdict.
 func storageMatrix(t *testing.T, label string, tr *fj.Trace) bool {
 	t.Helper()
-	storages := []core.Storage{core.StorageOpenAddr, core.StorageMap, core.StorageShadow}
+	storages := []core.Storage{core.StorageOpenAddr, core.StorageShadow}
 	type cell struct {
 		name  string
 		races []core.Race
